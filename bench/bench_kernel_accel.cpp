@@ -1,21 +1,11 @@
-// Exact-engine vs LUT vs per-ISA-rung throughput of the kernel layer
-// (kernels/accel.hpp, kernels/simd_avx2.hpp, kernels/simd_avx512.hpp) per
-// format and width: dot, axpy, scal and sparse matvec for every
-// accelerated format, plus the multi-vector primitives (spmm, dot_block)
-// against k single-vector calls. The acceptance bar is a >= 3x speedup of
-// the LUT paths over the exact engines on all three kernels for the four
-// 8-bit formats; the avx2/avx512 series measure the vector rungs on top
-// (see docs/PERFORMANCE.md for what should and should not be expected to
-// move — single-vector dot is chain-latency bound, axpy is load-port
-// bound at every rung, the batched primitives are where the lanes pay).
+// Exact-engine vs LUT throughput of the kernel layer (kernels/accel.hpp)
+// per format and width: dot, axpy and sparse matvec for every accelerated
+// format. The acceptance bar is a >= 3x speedup of the LUT paths over the
+// exact engines on all three kernels for the four 8-bit formats.
 //
 // Exact timings use kernels::ref:: (always the exact engines); lut timings
-// force the table switch on with the ladder pinned at scalar; avx2/avx512
-// timings pin the ladder at that rung (degenerating to the rung below
-// when the host lacks the ISA — every vector-mode benchmark carries the
-// active ISA as its label, "avx512", "avx2" or "scalar", so results from
-// different hosts stay interpretable). In an MFLA_ENABLE_LUT=0 build all
-// series are exact measurements.
+// force the table switch on. In an MFLA_ENABLE_LUT=0 build all series are
+// exact measurements.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -23,7 +13,6 @@
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "kernels/accel.hpp"
-#include "kernels/simd.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
 #include "sparse/csr.hpp"
@@ -33,35 +22,17 @@ namespace {
 
 using namespace mfla;
 
-enum class Mode { exact, lut, avx2, avx512 };
+enum class Mode { exact, lut };
 
-constexpr kernels::SimdLevel mode_level(Mode m) {
-  switch (m) {
-    case Mode::avx2: return kernels::SimdLevel::avx2;
-    case Mode::avx512: return kernels::SimdLevel::avx512;
-    default: return kernels::SimdLevel::scalar;
-  }
-}
-
-/// Force the runtime switches for one benchmark run.
+/// Force the runtime LUT switch for one benchmark run.
 class ModeGuard {
  public:
-  explicit ModeGuard(Mode m)
-      : lut_prev_(kernels::set_lut_enabled(m != Mode::exact)),
-        level_prev_(kernels::set_simd_level(mode_level(m))) {}
-  ~ModeGuard() {
-    kernels::set_simd_level(level_prev_);
-    kernels::set_lut_enabled(lut_prev_);
-  }
+  explicit ModeGuard(Mode m) : lut_prev_(kernels::set_lut_enabled(m == Mode::lut)) {}
+  ~ModeGuard() { kernels::set_lut_enabled(lut_prev_); }
 
  private:
   bool lut_prev_;
-  kernels::SimdLevel level_prev_;
 };
-
-void label_isa(benchmark::State& state, Mode m) {
-  if (m == Mode::avx2 || m == Mode::avx512) state.SetLabel(kernels::simd_caps().isa);
-}
 
 template <typename T>
 std::vector<T> random_vec(std::size_t n, std::uint64_t seed) {
@@ -93,7 +64,6 @@ void BM_Dot(benchmark::State& state) {
       benchmark::DoNotOptimize(kernels::dot(n, x.data(), y.data()));
     }
   }
-  label_isa(state, kMode);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -113,26 +83,6 @@ void BM_Axpy(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(y.data());
   }
-  label_isa(state, kMode);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-template <typename T, Mode kMode>
-void BM_Scal(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto x = random_vec<T>(n, 9);
-  const T alpha = NumTraits<T>::from_double(0.37);
-  const ModeGuard guard(kMode);
-  for (auto _ : state) {
-    if constexpr (kMode == Mode::exact) {
-      kernels::ref::scal(n, alpha, x.data());
-    } else {
-      kernels::scal(n, alpha, x.data());
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  label_isa(state, kMode);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -149,62 +99,14 @@ void BM_SpMV(benchmark::State& state) {
       kernels::ref::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(),
                          x.data(), y.data());
     } else {
-      // Through the matrix so the offset plan (and, in simd mode, the
-      // SELL-8 slice plan) is in play — that is the path solvers run.
+      // Through the matrix so the offset plan is in play — that is the
+      // path solvers run.
       a.matvec(x.data(), y.data());
     }
     benchmark::DoNotOptimize(y.data());
   }
-  label_isa(state, kMode);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.nnz()));
-}
-
-// -- Multi-vector primitives vs k single-vector calls -----------------------
-// Both sides run under the same mode; the comparison isolates what one
-// amortized traversal buys at each tier (range(1) = k).
-
-template <typename T, Mode kMode, bool kBlocked>
-void BM_SpMM(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
-  const auto a = bench_matrix<T>(n);
-  const auto x = random_vec<T>(k * a.cols(), 6);
-  std::vector<T> y(k * a.rows());
-  const ModeGuard guard(kMode);
-  for (auto _ : state) {
-    if constexpr (kBlocked) {
-      a.matvec_block(x.data(), a.cols(), k, y.data(), a.rows());
-    } else {
-      for (std::size_t c = 0; c < k; ++c)
-        a.matvec(x.data() + c * a.cols(), y.data() + c * a.rows());
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-  label_isa(state, kMode);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz() * k));
-}
-
-template <typename T, Mode kMode, bool kBlocked>
-void BM_DotBlock(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
-  const auto x = random_vec<T>(k * n, 7);
-  const auto y = random_vec<T>(n, 8);
-  std::vector<T> out(k);
-  const ModeGuard guard(kMode);
-  for (auto _ : state) {
-    if constexpr (kBlocked) {
-      kernels::dot_block(n, k, x.data(), n, y.data(), out.data());
-    } else {
-      for (std::size_t c = 0; c < k; ++c) out[c] = kernels::dot(n, x.data() + c * n, y.data());
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  label_isa(state, kMode);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * k));
 }
 
 #define MFLA_ACCEL_BENCH(T)                                                             \
@@ -215,61 +117,16 @@ void BM_DotBlock(benchmark::State& state) {
   BENCHMARK_TEMPLATE(BM_SpMV, T, Mode::exact)->Name("SpMV/exact/" #T)->Arg(512);        \
   BENCHMARK_TEMPLATE(BM_SpMV, T, Mode::lut)->Name("SpMV/lut/" #T)->Arg(512)
 
-// One rung of the ladder for an 8-bit format: the same kernels pinned at
-// Mode M, so a rung's win or loss over the one below is a row-by-row
-// comparison of the avx2 and avx512 series against lut (and each other).
-// Scal only appears here because its vector rung (VBMI in-register mul
-// row) is the interesting part; its exact/lut gap mirrors axpy's.
-#define MFLA_VEC_TIER_BENCH(T, M)                                                       \
-  BENCHMARK_TEMPLATE(BM_Dot, T, Mode::M)->Name("Dot/" #M "/" #T)->Arg(4096);            \
-  BENCHMARK_TEMPLATE(BM_Axpy, T, Mode::M)->Name("Axpy/" #M "/" #T)->Arg(4096);          \
-  BENCHMARK_TEMPLATE(BM_Scal, T, Mode::M)->Name("Scal/" #M "/" #T)->Arg(4096);          \
-  BENCHMARK_TEMPLATE(BM_SpMV, T, Mode::M)->Name("SpMV/" #M "/" #T)->Arg(512);           \
-  BENCHMARK_TEMPLATE(BM_SpMM, T, Mode::M, true)                                         \
-      ->Name("SpMM/block_" #M "/" #T)                                                   \
-      ->Args({512, 8})                                                                  \
-      ->Args({512, 16})                                                                 \
-      ->Args({512, 32});                                                                \
-  BENCHMARK_TEMPLATE(BM_DotBlock, T, Mode::M, true)                                     \
-      ->Name("DotBlock/block_" #M "/" #T)                                               \
-      ->Args({4096, 8})                                                                 \
-      ->Args({4096, 16})                                                                \
-      ->Args({4096, 32})
-
-// Amortization anchors: k single-vector calls and the scalar blocked loop,
-// against which the SpMM/DotBlock block_* series above are read. Run at
-// the top rung (auto dispatch picks the best available path for the
-// singles side too, so the comparison is fair on any host).
-#define MFLA_BLOCK_ANCHOR_BENCH(T)                                                      \
-  BENCHMARK_TEMPLATE(BM_SpMM, T, Mode::avx512, false)                                   \
-      ->Name("SpMM/singles/" #T)                                                        \
-      ->Args({512, 8})                                                                  \
-      ->Args({512, 16});                                                                \
-  BENCHMARK_TEMPLATE(BM_SpMM, T, Mode::lut, true)->Name("SpMM/block_scalar/" #T)->Args( \
-      {512, 8});                                                                        \
-  BENCHMARK_TEMPLATE(BM_DotBlock, T, Mode::avx512, false)                               \
-      ->Name("DotBlock/singles/" #T)                                                    \
-      ->Args({4096, 8})                                                                 \
-      ->Args({4096, 16})
-
 // The four 8-bit formats (acceptance: >= 3x lut-over-exact on
-// dot/axpy/spmv for all; the vector-rung series ride on top).
+// dot/axpy/spmv for all).
 MFLA_ACCEL_BENCH(OFP8E4M3);
 MFLA_ACCEL_BENCH(OFP8E5M2);
 MFLA_ACCEL_BENCH(Posit8);
 MFLA_ACCEL_BENCH(Takum8);
-// The four 16-bit formats (decode-table paths; no vector tier).
+// The four 16-bit formats (decode-table paths).
 MFLA_ACCEL_BENCH(Float16);
 MFLA_ACCEL_BENCH(BFloat16);
 MFLA_ACCEL_BENCH(Posit16);
 MFLA_ACCEL_BENCH(Takum16);
-
-// The vector rungs only exist for the 8-bit formats.
-MFLA_VEC_TIER_BENCH(Posit8, avx2);
-MFLA_VEC_TIER_BENCH(Posit8, avx512);
-MFLA_VEC_TIER_BENCH(Takum8, avx2);
-MFLA_VEC_TIER_BENCH(Takum8, avx512);
-MFLA_BLOCK_ANCHOR_BENCH(Posit8);
-MFLA_BLOCK_ANCHOR_BENCH(Takum8);
 
 }  // namespace

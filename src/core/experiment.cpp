@@ -435,10 +435,4 @@ std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
   return results;
 }
 
-std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
-                                         const std::vector<FormatId>& formats,
-                                         const ExperimentConfig& cfg) {
-  return run_experiment(dataset, formats, cfg, ScheduleOptions{});
-}
-
 }  // namespace mfla

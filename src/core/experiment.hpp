@@ -298,11 +298,4 @@ struct ScheduleOptions {
                                                        const ExperimentConfig& cfg,
                                                        const ScheduleOptions& sched);
 
-/// Convenience overload: default engine options (all cores, no checkpoint).
-/// Deprecated shim: use mfla::api::Sweep, or pass ScheduleOptions{}.
-MFLA_DEPRECATED("use mfla::api::Sweep (docs/API.md)")
-[[nodiscard]] std::vector<MatrixResult> run_experiment(const std::vector<TestMatrix>& dataset,
-                                                       const std::vector<FormatId>& formats,
-                                                       const ExperimentConfig& cfg = {});
-
 }  // namespace mfla

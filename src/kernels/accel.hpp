@@ -123,38 +123,9 @@ class Lut8 {
   [[nodiscard]] Storage mul_at(std::size_t row_offset_or_bits) const noexcept {
     return mul_[row_offset_or_bits];
   }
-  /// Transposed add table: add_t_at((b << 8) | a) == add_bits(a, b). The
-  /// SIMD accumulation chains index through this layout so the chained
-  /// operand (the accumulator) lands in the low bits — the late-arriving
-  /// value folds into the load's addressing mode instead of a dependent
-  /// shift. Built as an explicit transpose of add_, never by assuming
-  /// commutativity.
-  [[nodiscard]] Storage add_t_at(std::size_t index) const noexcept { return addt_[index]; }
-
-  // Raw table bytes for the SIMD kernels (kernels/simd_avx2.hpp), which
-  // gather entries as 32-bit words: every table carries kGatherPad trailing
-  // bytes so a 4-byte read starting at the last real entry stays inside the
-  // allocation. Layouts: add/mul are indexed (a << 8) | b, add_t is the
-  // transpose (b << 8) | a, and mul_row(alpha) is the 256-entry row
-  // mul(alpha, x) used by the in-register pshufb lookups.
-  static constexpr std::size_t kGatherPad = 8;
-  [[nodiscard]] const Storage* add_data() const noexcept { return add_.data(); }
-  [[nodiscard]] const Storage* add_t_data() const noexcept { return addt_.data(); }
-  [[nodiscard]] const Storage* mul_data() const noexcept { return mul_.data(); }
-  [[nodiscard]] const Storage* mul_row(Storage alpha_bits) const noexcept {
-    return mul_.data() + (static_cast<std::size_t>(alpha_bits) << 8);
-  }
-  /// Row alpha of the *transposed* mul table: mul_t_row(alpha)[x] ==
-  /// mul(x, alpha) — the operand order of the scal recurrence. Like addt_,
-  /// built as an explicit transpose of mul_, never by assuming
-  /// commutativity (the in-register map kernels need the fixed operand in
-  /// a contiguous 256-entry row whichever side it sits on).
-  [[nodiscard]] const Storage* mul_t_row(Storage alpha_bits) const noexcept {
-    return mult_.data() + (static_cast<std::size_t>(alpha_bits) << 8);
-  }
 
  private:
-  Lut8() : add_(65536 + kGatherPad), mul_(65536 + kGatherPad), dec_(256) {
+  Lut8() : add_(65536), mul_(65536), dec_(256) {
     for (unsigned a = 0; a < 256; ++a) {
       const T ta = Codec::from_bits(static_cast<Storage>(a));
       dec_[a] = Codec::bits_to_double(static_cast<Storage>(a));
@@ -164,12 +135,6 @@ class Lut8 {
         mul_[(a << 8) | b] = Codec::to_bits(ta * tb);
       }
     }
-    addt_.assign(65536 + kGatherPad, Storage{0});
-    for (unsigned a = 0; a < 256; ++a)
-      for (unsigned b = 0; b < 256; ++b) addt_[(b << 8) | a] = add_[(a << 8) | b];
-    mult_.assign(65536 + kGatherPad, Storage{0});
-    for (unsigned a = 0; a < 256; ++a)
-      for (unsigned b = 0; b < 256; ++b) mult_[(b << 8) | a] = mul_[(a << 8) | b];
   }
 
   [[nodiscard]] static std::size_t index(T a, T b) noexcept {
@@ -178,9 +143,7 @@ class Lut8 {
   }
 
   std::vector<Storage> add_;
-  std::vector<Storage> addt_;
   std::vector<Storage> mul_;
-  std::vector<Storage> mult_;
   std::vector<double> dec_;
 };
 

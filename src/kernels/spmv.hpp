@@ -5,33 +5,13 @@
 // kernels in vector_ops.hpp it is written once against a scalar-operation
 // policy: the ≤16-bit formats take the bit-identical LUT fast paths from
 // kernels/accel.hpp, everything else runs the exact engines.
-//
-// On top of the precomputed-offset plan, the SIMD tier (kernels/simd.hpp)
-// adds SELL execution plans: rows are grouped into slices of eight (AVX2
-// tier) or sixteen (AVX-512 tier) and their nonzeros stored
-// slice-interleaved, so the slice's *independent* row chains advance in
-// lock step. Each row's chain still executes in its original nonzero
-// order over the very same tables, so the result is bit-identical; the
-// win is instruction-level parallelism — a single row chain is bounded by
-// the ~5-cycle latency of its dependent table loads, interleaved chains
-// keep the load ports saturated instead.
-// (A vpgatherdd formulation measures *slower* than the interleaved scalar
-// chains at BOTH widths: the per-nonzero x→mul gathers chain, and a
-// chained gather costs ~4x a chained scalar load — doubling the lanes to
-// sixteen does not close that gap on current cores. The gather-based
-// SELL-16 kernel, kernels/simd_avx512.hpp's spmv_sell16_bits, is
-// therefore pinned out of production dispatch by
-// kernels::kSpmvSell16Dispatch; it stays compiled and identity-tested.)
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "kernels/accel.hpp"
-#include "kernels/simd.hpp"
-#include "kernels/simd_avx512.hpp"
 
 namespace mfla {
 namespace kernels {
@@ -92,105 +72,17 @@ template <typename T>
 
 #if MFLA_ENABLE_LUT
 
-// -- SELL execution kernels (SIMD tier) -------------------------------------
-// The SellPlan layout and build_sell_plan builder live in kernels/simd.hpp
-// (shared by the AVX2 and AVX-512 rungs); the height-8 interleaved-scalar
-// kernel is below, the height-16 gather kernel is
-// simd512::spmv_sell16_bits (kernels/simd_avx512.hpp).
-
-/// Planned SpMV over the SELL-8 plan, in the encoding-bit domain: eight
-/// independent row chains advance in lock step (two nonzeros deep per
-/// iteration on the unpadded prefix), hiding each chain's dependent-load
-/// latency behind the other seven. Every chain is the scalar chain of its
-/// row, in its original order — bit-identical by construction. `x` is the
-/// x encoding bytes (no padding needed: all reads are single bytes).
-inline void spmv_sell_bits(const std::uint8_t* mul2d, const std::uint8_t* addt,
-                           const std::uint8_t* x, const SellPlan& plan, std::size_t rows,
-                           std::uint8_t* y, std::uint8_t zero_bits) noexcept {
-  for (std::size_t si = 0; si < plan.slices.size(); ++si) {
-    const SellPlan::Slice& s = plan.slices[si];
-    const std::uint32_t* f = plan.fused.data() + s.base;
-    std::uint32_t a[8];
-    for (int c = 0; c < 8; ++c) a[c] = zero_bits;
-    std::uint32_t minl = s.len[0];
-    for (int c = 1; c < 8; ++c) minl = s.len[c] < minl ? s.len[c] : minl;
-    std::uint32_t t = 0;
-    for (; t + 2 <= minl; t += 2) {
-      std::uint32_t p0[8], p1[8];
-#pragma GCC unroll 8
-      for (int c = 0; c < 8; ++c) {
-        const std::uint32_t e = f[8 * t + c];
-        p0[c] = mul2d[(e >> 16) | x[e & 0xffff]];
-      }
-#pragma GCC unroll 8
-      for (int c = 0; c < 8; ++c) {
-        const std::uint32_t e = f[8 * t + 8 + c];
-        p1[c] = mul2d[(e >> 16) | x[e & 0xffff]];
-      }
-#pragma GCC unroll 8
-      for (int c = 0; c < 8; ++c) a[c] = addt[(p0[c] << 8) + a[c]];
-#pragma GCC unroll 8
-      for (int c = 0; c < 8; ++c) a[c] = addt[(p1[c] << 8) + a[c]];
-    }
-    for (; t < minl; ++t) {
-#pragma GCC unroll 8
-      for (int c = 0; c < 8; ++c) {
-        const std::uint32_t e = f[8 * t + c];
-        const std::uint32_t p = mul2d[(e >> 16) | x[e & 0xffff]];
-        a[c] = addt[(p << 8) + a[c]];
-      }
-    }
-    for (; t < s.maxl; ++t) {
-#pragma GCC unroll 8
-      for (int c = 0; c < 8; ++c) {
-        const std::uint32_t e = f[8 * t + c];
-        const std::uint32_t p = mul2d[(e >> 16) | x[e & 0xffff]];
-        const std::uint32_t nx = addt[(p << 8) + a[c]];
-        a[c] = t < s.len[c] ? nx : a[c];
-      }
-    }
-    const std::size_t r0 = si * 8;
-    for (std::size_t c = 0; c < 8 && r0 + c < rows; ++c)
-      y[r0 + c] = static_cast<std::uint8_t>(a[c]);
-  }
-}
-
 /// y := A x with the precomputed offset plan; bit-identical to the generic
 /// LUT path (the accumulation runs in the bit domain over the very same
 /// tables, in the very same order). Callers must check lut_enabled().
-/// When a SIMD rung is active and a matching valid SELL plan is supplied,
-/// the corresponding slice kernel runs instead of the row-at-a-time loop.
-/// The AVX-512 SELL-16 gather branch exists but is pinned off by
-/// kSpmvSell16Dispatch (measured slower than SELL-8 — see the header
-/// comment), so production dispatch goes straight to the height-8
-/// interleaved-scalar kernel at every vector rung.
 template <typename T>
 void spmv_planned(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-                  const std::uint16_t* offsets, const T* x, T* y,
-                  const SellPlan* sell = nullptr, const SellPlan* sell16 = nullptr) noexcept {
+                  const std::uint16_t* offsets, const T* x, T* y) noexcept {
   static_assert(spmv_plan_supported<T>());
   using Codec = ScalarCodec<T>;
   using Storage = typename Codec::Storage;
   const auto& lut = accel::Lut8<T>::instance();
   const Storage zero_bits = Codec::to_bits(T(0));
-#if MFLA_SIMD_AVX512_COMPILED
-  if (kSpmvSell16Dispatch && sell16 != nullptr && sell16->valid && simd_avx512_active()) {
-    // The SELL-16 kernel gathers x bytes as 32-bit words, so it reads past
-    // the last entry: stage x into the padded thread-local scratch.
-    auto& xpad = detail::simd_scratch(0);
-    const std::size_t need = std::size_t{sell16->cols} + simd512::kGatherSlack;
-    if (xpad.size() < need) xpad.resize(need);
-    if (sell16->cols != 0) std::memcpy(xpad.data(), detail::byte_ptr(x), sell16->cols);
-    simd512::spmv_sell16_bits(lut.mul_data(), lut.add_t_data(), xpad.data(), *sell16, rows,
-                              detail::byte_ptr(y), zero_bits);
-    return;
-  }
-#endif
-  if (sell != nullptr && sell->valid && simd_active()) {
-    spmv_sell_bits(lut.mul_data(), lut.add_t_data(), detail::byte_ptr(x), *sell, rows,
-                   detail::byte_ptr(y), zero_bits);
-    return;
-  }
   for (std::size_t i = 0; i < rows; ++i) {
     Storage acc = zero_bits;
     for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {

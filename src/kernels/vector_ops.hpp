@@ -9,29 +9,17 @@
 // dispatched through kernels::accel::with_ops: native floats and the
 // 32/64-bit emulated formats run the plain loops, while the ≤16-bit
 // formats take the bit-identical LUT fast paths (see kernels/accel.hpp).
-// On top of that, the 8-bit formats dispatch to the AVX2 kernels
-// (kernels/simd_avx2.hpp) when the host supports them — same tables, same
-// operation order, vectorized fetches. kernels::ref:: always runs the
-// exact engines regardless of the LUT/SIMD switches — it is the reference
-// the fast paths are tested and benchmarked against.
-//
-// Multi-vector primitives (dot_block, axpy_block; kernels::spmm lives in
-// kernels/spmm.hpp) are defined as *exactly* k applications of the
-// single-vector kernel — the bit-identity contract every backend must
-// honor. Where the k chains are independent (dot_block, spmm) the SIMD
-// tier packs them into gather lanes and one traversal amortizes over all
-// of them; where fusing would chain them (axpy_block) the sequential
-// form is the fast one and the primitive is plain sugar.
+// kernels::ref:: always runs the exact engines regardless of the LUT
+// switch — it is the reference the fast paths are tested and benchmarked
+// against.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "dense/matrix.hpp"
 #include "kernels/accel.hpp"
-#include "kernels/simd.hpp"
-#include "kernels/simd_avx2.hpp"
-#include "kernels/simd_avx512.hpp"
 
 namespace mfla {
 namespace kernels {
@@ -53,24 +41,6 @@ void axpy_impl(std::size_t n, T alpha, const T* x, T* y, const Ops& ops) noexcep
 template <typename T, class Ops>
 void scal_impl(std::size_t n, T alpha, T* x, const Ops& ops) noexcept {
   for (std::size_t i = 0; i < n; ++i) x[i] = ops.mul(x[i], alpha);
-}
-
-/// Blocked dot: out[c] = dot(n, x_c, y) for k column vectors x_c stored
-/// column-major with leading dimension ldx. Defined as exactly k
-/// applications of dot_impl — the contract the SIMD lane-packed version
-/// must (and does) reproduce bit for bit.
-template <typename T, class Ops>
-void dot_block_impl(std::size_t n, std::size_t k, const T* x, std::size_t ldx, const T* y,
-                    T* out, const Ops& ops) noexcept {
-  for (std::size_t c = 0; c < k; ++c) out[c] = dot_impl(n, x + c * ldx, y, ops);
-}
-
-/// Blocked axpy: y := (((y + alpha_0 x_0) + alpha_1 x_1) + ...) — exactly
-/// k sequential applications of axpy_impl into the same y, in that order.
-template <typename T, class Ops>
-void axpy_block_impl(std::size_t n, std::size_t k, const T* alphas, const T* x,
-                     std::size_t ldx, T* y, const Ops& ops) noexcept {
-  for (std::size_t c = 0; c < k; ++c) axpy_impl(n, alphas[c], x + c * ldx, y, ops);
 }
 
 template <typename T, class Ops>
@@ -169,58 +139,12 @@ void scal(std::size_t n, T alpha, T* x) noexcept {
   detail::scal_impl(n, alpha, x, accel::NativeOps<T>{});
 }
 
-template <typename T>
-void dot_block(std::size_t n, std::size_t k, const T* x, std::size_t ldx, const T* y,
-               T* out) noexcept {
-  detail::dot_block_impl(n, k, x, ldx, y, out, accel::NativeOps<T>{});
-}
-
-template <typename T>
-void axpy_block(std::size_t n, std::size_t k, const T* alphas, const T* x, std::size_t ldx,
-                T* y) noexcept {
-  detail::axpy_block_impl(n, k, alphas, x, ldx, y, accel::NativeOps<T>{});
-}
-
 }  // namespace ref
 
 // -- Dispatching kernels ----------------------------------------------------
-// The lut8 formats additionally check the SIMD tier: compiled in, host has
-// AVX2, both runtime switches on. Everything else (and every fallback)
-// goes through with_ops.
-
-namespace detail {
-#if MFLA_SIMD_COMPILED
-template <typename T>
-[[nodiscard]] inline bool use_simd_lut8() noexcept {
-  if constexpr (accel::accel_kind<T>() == accel::AccelKind::lut8) {
-    return lut_enabled() && simd_active();
-  } else {
-    return false;
-  }
-}
-#endif
-}  // namespace detail
 
 template <typename T>
 [[nodiscard]] T dot(std::size_t n, const T* x, const T* y) {
-#if MFLA_SIMD_COMPILED
-  if constexpr (accel::accel_kind<T>() == accel::AccelKind::lut8) {
-    if (detail::use_simd_lut8<T>()) {
-      using Codec = ScalarCodec<T>;
-      const auto& lut = accel::Lut8<T>::instance();
-#if MFLA_SIMD_AVX512_COMPILED
-      if (simd_avx512_active()) {
-        return Codec::from_bits(simd512::dot_bits(lut.mul_data(), lut.add_t_data(),
-                                                  detail::byte_ptr(x), detail::byte_ptr(y), n,
-                                                  Codec::to_bits(T(0))));
-      }
-#endif
-      return Codec::from_bits(simd::dot_bits(lut.mul_data(), lut.add_t_data(),
-                                             detail::byte_ptr(x), detail::byte_ptr(y), n,
-                                             Codec::to_bits(T(0))));
-    }
-  }
-#endif
   return accel::with_ops<T>([&](const auto& ops) { return detail::dot_impl(n, x, y, ops); });
 }
 
@@ -229,17 +153,6 @@ template <typename T>
   return sqrt(dot(n, x, x));
 }
 
-// axpy and scal do NOT take an AVX2 branch: their scalar LUT loops have
-// independent per-element lookups (two loads / one load per element) and
-// run port-bound at ~2 loads per cycle already, so the pshufb/gather
-// forms (simd::axpy_bits, simd::scal_bits — kept, and covered by the
-// identity tests) measure at or below the scalar loops. The VBMI rung
-// changes the arithmetic for scal: the whole 256-entry mul row lives in
-// registers and `vpermi2b` maps 64 elements per step with zero table
-// traffic, which does beat the load-port bound. For axpy the add stage
-// is still one gather per element and measures below the scalar loop
-// (docs/PERFORMANCE.md), so axpy stays scalar and simd512::axpy_bits is
-// kept under the identity tests only.
 template <typename T>
 void axpy(std::size_t n, T alpha, const T* x, T* y) {
   accel::with_ops<T>([&](const auto& ops) { detail::axpy_impl(n, alpha, x, y, ops); });
@@ -247,91 +160,7 @@ void axpy(std::size_t n, T alpha, const T* x, T* y) {
 
 template <typename T>
 void scal(std::size_t n, T alpha, T* x) {
-#if MFLA_SIMD_AVX512_COMPILED
-  if constexpr (accel::accel_kind<T>() == accel::AccelKind::lut8) {
-    if (detail::use_simd_lut8<T>() && simd_vbmi_active()) {
-      using Codec = ScalarCodec<T>;
-      const auto& lut = accel::Lut8<T>::instance();
-      simd512::scal_bits(lut.mul_t_row(Codec::to_bits(alpha)), detail::byte_ptr(x), n);
-      return;
-    }
-  }
-#endif
   accel::with_ops<T>([&](const auto& ops) { detail::scal_impl(n, alpha, x, ops); });
-}
-
-/// out[c] = dot(n, x + c * ldx, y) for c < k. Bit-identical to k separate
-/// dot() calls; the SIMD paths pack independent accumulation chains into
-/// gather lanes — thirty-two then sixteen at the AVX-512 rung, sixteen
-/// then eight at the AVX2 rung (always two gather chains in flight at the
-/// widest width) — amortizing one traversal of y over them.
-template <typename T>
-void dot_block(std::size_t n, std::size_t k, const T* x, std::size_t ldx, const T* y, T* out) {
-#if MFLA_SIMD_COMPILED
-  if constexpr (accel::accel_kind<T>() == accel::AccelKind::lut8) {
-    if (detail::use_simd_lut8<T>()) {
-      using Codec = ScalarCodec<T>;
-      const auto& lut = accel::Lut8<T>::instance();
-      const auto zero = Codec::to_bits(T(0));
-      std::uint8_t lane[32];
-      std::size_t c0 = 0;
-#if MFLA_SIMD_AVX512_COMPILED
-      if (simd_avx512_active()) {
-        for (; c0 + 32 <= k; c0 += 32) {
-          simd512::dot_block32_bits(lut.mul_data(), lut.add_t_data(),
-                                    detail::byte_ptr(x + c0 * ldx), ldx, detail::byte_ptr(y),
-                                    n, zero, lane);
-          for (std::size_t c = 0; c < 32; ++c) out[c0 + c] = Codec::from_bits(lane[c]);
-        }
-        if (c0 + 16 <= k) {
-          simd512::dot_block16_bits(lut.mul_data(), lut.add_t_data(),
-                                    detail::byte_ptr(x + c0 * ldx), ldx, 16,
-                                    detail::byte_ptr(y), n, zero, lane);
-          for (std::size_t c = 0; c < 16; ++c) out[c0 + c] = Codec::from_bits(lane[c]);
-          c0 += 16;
-        }
-      }
-#endif
-      for (; c0 + 16 <= k; c0 += 16) {
-        simd::dot_block16_bits(lut.mul_data(), lut.add_t_data(),
-                               detail::byte_ptr(x + c0 * ldx), ldx, detail::byte_ptr(y), n,
-                               zero, lane);
-        for (std::size_t c = 0; c < 16; ++c) out[c0 + c] = Codec::from_bits(lane[c]);
-      }
-      if (c0 + 8 <= k) {
-        simd::dot_block8_bits(lut.mul_data(), lut.add_t_data(),
-                              detail::byte_ptr(x + c0 * ldx), ldx, 8, detail::byte_ptr(y), n,
-                              zero, lane);
-        for (std::size_t c = 0; c < 8; ++c) out[c0 + c] = Codec::from_bits(lane[c]);
-        c0 += 8;
-      }
-      // Fewer than eight columns left: the gather kernel would pay for
-      // eight lanes regardless, so the remainder runs the scalar LUT dots
-      // (bit-identical by the with_ops dispatch).
-      if (c0 < k) {
-        accel::with_ops<T>([&](const auto& ops) {
-          detail::dot_block_impl(n, k - c0, x + c0 * ldx, ldx, y, out + c0, ops);
-        });
-      }
-      return;
-    }
-  }
-#endif
-  accel::with_ops<T>(
-      [&](const auto& ops) { detail::dot_block_impl(n, k, x, ldx, y, out, ops); });
-}
-
-/// y := y + alpha_0 x_0 + ... + alpha_{k-1} x_{k-1}, applied strictly in
-/// that order — bit-identical to k sequential axpy() calls. Always runs
-/// the sequential form: the interchanged (c, i) loop turns each element
-/// into a k-deep chain of dependent table loads, while k streaming passes
-/// are pure load-throughput — measured, the fused forms (scalar and
-/// gather; simd::axpy_block_bits) lose to the sequential passes on every
-/// k, so the primitive exists for API symmetry and fuses nothing.
-template <typename T>
-void axpy_block(std::size_t n, std::size_t k, const T* alphas, const T* x, std::size_t ldx,
-                T* y) {
-  for (std::size_t c = 0; c < k; ++c) axpy(n, alphas[c], x + c * ldx, y);
 }
 
 /// y := A x (dense, column-major).

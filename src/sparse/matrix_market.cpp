@@ -45,6 +45,15 @@ struct LineReader {
   fail("line " + std::to_string(lineno) + ": " + what);
 }
 
+/// Largest dimension whose 0-based indices still fit the 32-bit COO/CSR
+/// index type.
+constexpr long long kMaxDim = 1LL << 32;
+
+/// Upper bound on the up-front triplet reservation: the header's entry
+/// count is untrusted until the entries are actually read, so a lying
+/// header must not drive the allocation (the vector still grows as needed).
+constexpr long long kMaxReserve = 1LL << 20;
+
 }  // namespace
 
 CooMatrix read_matrix_market(std::istream& in, MatrixMarketHeader* header) {
@@ -88,8 +97,12 @@ CooMatrix read_matrix_market(std::istream& in, MatrixMarketHeader* header) {
     if (size_line.fail() || rows < 0 || cols < 0 || entries < 0) {
       fail_at(reader.lineno, "bad size line");
     }
+    if (rows > kMaxDim || cols > kMaxDim) {
+      fail_at(reader.lineno, "dimensions exceed 2^32 (32-bit indices)");
+    }
     coo.set_shape(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-    coo.reserve(static_cast<std::size_t>(entries) * (h.symmetry == "general" ? 1 : 2));
+    coo.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)) *
+                (h.symmetry == "general" ? 1 : 2));
     for (long long k = 0; k < entries; ++k) {
       if (!reader.next_data_line(line)) fail_at(reader.lineno, "unexpected EOF in entries");
       std::istringstream e(line);
@@ -112,6 +125,9 @@ CooMatrix read_matrix_market(std::istream& in, MatrixMarketHeader* header) {
     long long rows = 0, cols = 0;
     size_line >> rows >> cols;
     if (size_line.fail() || rows < 0 || cols < 0) fail_at(reader.lineno, "bad size line");
+    if (rows > kMaxDim || cols > kMaxDim) {
+      fail_at(reader.lineno, "dimensions exceed 2^32 (32-bit indices)");
+    }
     coo.set_shape(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
     // Array data is column-major; symmetric storage lists the lower
     // triangle, skew-symmetric the *strictly* lower triangle (the diagonal

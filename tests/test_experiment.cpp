@@ -129,7 +129,8 @@ TEST(Experiment, RunExperimentOverDataset) {
   const auto dataset = build_general_corpus(gopts);
   ASSERT_GE(dataset.size(), 5u);
   const auto results =
-      run_experiment(dataset, {FormatId::float64, FormatId::takum64}, fast_config());
+      run_experiment(dataset, {FormatId::float64, FormatId::takum64}, fast_config(),
+                     ScheduleOptions{});
   EXPECT_EQ(results.size(), dataset.size());
   std::size_t ok_refs = 0;
   for (const auto& r : results) {

@@ -6,6 +6,9 @@
 //     all 65536 encodings for every 16-bit format,
 //   * sampled operand pairs through the 16-bit fast-path ops,
 //   * whole kernels (dot/axpy/scal/gemv/spmv) with LUTs on vs off,
+//   * 8-bit dot/axpy/scal and SpMV on raw encodings (NaN/inf/NaR codes),
+//     awkward lengths, unaligned slices and empty matrix rows, against
+//     the exact engine with LUTs on and off,
 //   * an end-to-end experiment run whose result CSV must be byte-identical
 //     with LUTs on and off.
 // In an MFLA_ENABLE_LUT=0 build the fast paths are compiled out and the
@@ -28,6 +31,7 @@
 #include "kernels/accel.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
 
@@ -227,6 +231,114 @@ TEST(KernelAccel, KernelsOnOffFloat16) { check_kernels_on_off<Float16>(); }
 TEST(KernelAccel, KernelsOnOffBFloat16) { check_kernels_on_off<BFloat16>(); }
 TEST(KernelAccel, KernelsOnOffPosit16) { check_kernels_on_off<Posit16>(); }
 TEST(KernelAccel, KernelsOnOffTakum16) { check_kernels_on_off<Takum16>(); }
+
+// -- 8-bit dispatch on raw encodings, awkward lengths and unaligned slices --
+// The KernelSimd suite name is kept from the retired vector-tier tests so
+// the test IDs stay stable; the anchor is now the exact engine (ref:: and
+// the LUT-off dispatch) instead of a pinned vector level.
+
+/// Vector lengths around common block widths, plus large odd sizes.
+const std::size_t kLengths[] = {0,  1,  2,  3,  7,   8,   9,   15,  16,   17,   31,  32,
+                                33, 63, 64, 65, 127, 128, 129, 255, 1000, 4097};
+
+/// Raw random encodings — every byte value occurs, so the formats' NaN /
+/// inf / NaR / -0 codes all flow through the kernels.
+template <typename T>
+std::vector<T> random_encodings(std::size_t n, std::uint64_t seed) {
+  using Codec = ScalarCodec<T>;
+  Rng rng(seed);
+  std::vector<T> v;
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v.push_back(Codec::from_bits(static_cast<typename Codec::Storage>(rng.next_u64() & 0xff)));
+  return v;
+}
+
+template <typename T>
+void expect_same_bits(const std::vector<T>& a, const std::vector<T>& b, const char* what) {
+  using Codec = ScalarCodec<T>;
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(Codec::to_bits(a[i]), Codec::to_bits(b[i]))
+        << NumTraits<T>::name() << " " << what << " at " << i;
+}
+
+template <typename T>
+void check_dispatch_on_off() {
+  using Codec = ScalarCodec<T>;
+  const T alpha = NumTraits<T>::from_double(-0.31);
+  for (const std::size_t n : kLengths) {
+    // +3 so the unaligned slices below stay in bounds.
+    const auto xv = random_encodings<T>(n + 3, 700 + n);
+    const auto yv = random_encodings<T>(n + 3, 800 + n);
+    for (const std::size_t shift : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      const T* x = xv.data() + shift;
+      const T* y = yv.data() + shift;
+      const T dot_anchor = kernels::ref::dot(n, x, y);
+      std::vector<T> ax_anchor(y, y + n), sc_anchor(x, x + n);
+      kernels::ref::axpy(n, alpha, x, ax_anchor.data());
+      kernels::ref::scal(n, alpha, sc_anchor.data());
+      for (const bool lut_on : {true, false}) {
+        LutGuard lut(lut_on);
+        std::vector<T> ax(y, y + n), sc(x, x + n);
+        kernels::axpy(n, alpha, x, ax.data());
+        kernels::scal(n, alpha, sc.data());
+        ASSERT_EQ(Codec::to_bits(kernels::dot(n, x, y)), Codec::to_bits(dot_anchor))
+            << NumTraits<T>::name() << " dot n=" << n << " shift=" << shift << " lut=" << lut_on;
+        expect_same_bits(ax, ax_anchor, lut_on ? "axpy lut on" : "axpy lut off");
+        expect_same_bits(sc, sc_anchor, lut_on ? "scal lut on" : "scal lut off");
+      }
+    }
+  }
+}
+
+TEST(KernelSimd, DispatchOnOffOFP8E4M3) { check_dispatch_on_off<OFP8E4M3>(); }
+TEST(KernelSimd, DispatchOnOffOFP8E5M2) { check_dispatch_on_off<OFP8E5M2>(); }
+TEST(KernelSimd, DispatchOnOffPosit8) { check_dispatch_on_off<Posit8>(); }
+TEST(KernelSimd, DispatchOnOffTakum8) { check_dispatch_on_off<Takum8>(); }
+
+template <typename T>
+CsrMatrix<T> test_matrix_irregular(std::size_t n, std::uint64_t salt) {
+  // Laplacian of a random graph with every 11th row dropped, so the matrix
+  // has genuinely empty rows next to rows of varying length.
+  Rng rng("irregular_matrix", salt);
+  const CooMatrix lap = graph_laplacian_pipeline(
+      erdos_renyi(static_cast<std::uint32_t>(n), 6.0 / static_cast<double>(n), rng));
+  CooMatrix pruned(lap.rows(), lap.cols());
+  for (const auto& t : lap.triplets()) {
+    if (t.row % 11 == 5) continue;
+    pruned.add(t.row, t.col, t.value);
+  }
+  return CsrMatrix<double>::from_coo(pruned).convert<T>();
+}
+
+template <typename T>
+void check_spmv_on_off() {
+  const auto a = test_matrix_irregular<T>(97, 1);
+  if constexpr (kernels::spmv_plan_supported<T>()) {
+    EXPECT_TRUE(a.has_spmv_plan());
+  }
+  const auto x = random_encodings<T>(a.cols(), 42);
+  std::vector<T> y_anchor(a.rows()), y_planned(a.rows()), y_noplan(a.rows());
+  {
+    LutGuard lut(false);
+    a.matvec(x.data(), y_anchor.data());
+  }
+  {
+    LutGuard lut(true);
+    a.matvec(x.data(), y_planned.data());
+    // Generic (plan-less) kernel for the same product.
+    kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
+                  y_noplan.data());
+  }
+  expect_same_bits(y_planned, y_anchor, "spmv planned/exact");
+  expect_same_bits(y_noplan, y_anchor, "spmv generic/exact");
+}
+
+TEST(KernelSimd, SpmvOnOffOFP8E4M3) { check_spmv_on_off<OFP8E4M3>(); }
+TEST(KernelSimd, SpmvOnOffOFP8E5M2) { check_spmv_on_off<OFP8E5M2>(); }
+TEST(KernelSimd, SpmvOnOffPosit8) { check_spmv_on_off<Posit8>(); }
+TEST(KernelSimd, SpmvOnOffTakum8) { check_spmv_on_off<Takum8>(); }
 
 // -- End to end: experiment CSVs byte-identical, LUT on vs off --------------
 

@@ -169,6 +169,41 @@ TEST(MatrixMarketIndices, MaxValidIndicesAccepted) {
   EXPECT_EQ(m.triplets()[0].col, 3u);
 }
 
+TEST(MatrixMarketIndices, DimensionsAbove32BitsRejected) {
+  // 0-based indices are 32-bit: row 2^32 + 1 would wrap onto row 0, so a
+  // dimension past 2^32 must be rejected at the size line.
+  std::istringstream wide_rows(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4294967297 2 1\n"
+      "4294967297 1 1.0\n");
+  try {
+    (void)read_matrix_market(wide_rows);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+  std::istringstream wide_cols(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 4294967297 1\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(wide_cols), std::runtime_error);
+  std::istringstream wide_array(
+      "%%MatrixMarket matrix array real general\n"
+      "4294967297 1\n"
+      "1.0\n");
+  EXPECT_THROW(read_matrix_market(wide_array), std::runtime_error);
+
+  // Exactly 2^32 is the largest dimension whose last index still fits.
+  std::istringstream edge(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4294967296 4294967296 1\n"
+      "4294967296 4294967296 2.0\n");
+  const CooMatrix m = read_matrix_market(edge);
+  ASSERT_EQ(m.nnz(), 1u);
+  EXPECT_EQ(m.triplets()[0].row, 4294967295u);
+  EXPECT_EQ(m.triplets()[0].col, 4294967295u);
+}
+
 // ---- malformed files ---------------------------------------------------------
 
 TEST(MatrixMarketMalformed, EmptyInput) {
@@ -227,6 +262,27 @@ TEST(MatrixMarketMalformed, TruncatedCoordinateAndArrayData) {
       "2 2\n"
       "1.0\n2.0\n3.0\n");
   EXPECT_THROW(read_matrix_market(array), std::runtime_error);
+}
+
+TEST(MatrixMarketMalformed, HugeEntryCountInHeaderIsAReaderError) {
+  // The header's entry count is untrusted: a 3-line file claiming billions
+  // of entries must end in the reader's EOF diagnostic, not in an
+  // allocation failure sized by the claim.
+  std::istringstream general(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 4000000000\n"
+      "1 1 1.0\n");
+  try {
+    (void)read_matrix_market(general);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected EOF"), std::string::npos) << e.what();
+  }
+  std::istringstream symmetric(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "2 2 4611686018427387904\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(symmetric), std::runtime_error);
 }
 
 TEST(MatrixMarketMalformed, ErrorMessagePointsAtOffendingLine) {
