@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "arith/tapered.hpp"
 
@@ -29,6 +30,10 @@ struct PositCodec {
   static constexpr int nbits = N;
   static constexpr int es = ES;
   using Storage = detail::uint_for_bits<N>;
+  // The encode prefix (regime + exponent) is at most N - 1 + ES bits. A
+  // 64-bit word holds prefixes up to 63 bits and cuts below 64 bits;
+  // posit64 (and near-64-bit posits with a wide ES) need a 128-bit one.
+  using Word = std::conditional_t<(N < 64 && N + ES <= 64), std::uint64_t, u128>;
 
   /// Largest representable exponent: maxpos = 2^((N-2) * 2^ES).
   static constexpr int max_exponent = (N - 2) << ES;
@@ -71,17 +76,12 @@ struct PositCodec {
     if (e >= max_exponent) return static_cast<Storage>(maxpos);
     if (e < -max_exponent) return Storage{1};
     const int k = e >> ES;  // arithmetic shift == floor division
-    const auto ef = static_cast<std::uint64_t>(e - (k << ES));
-    detail::BitBuilder bb;
-    if (k >= 0) {
-      bb.put((2ull << (k + 1)) - 2, k + 2);  // (k+1) ones, then the 0 terminator
-    } else {
-      bb.put(1, -k + 1);  // (-k) zeros, then the 1 terminator
-    }
-    bb.put(ef, ES);
-    bb.put(m & ((1ull << 63) - 1), 63);
-    bb.put(guard ? 1 : 0, 1);
-    return detail::round_payload<Storage>(N, bb.extract(N - 1), sticky);
+    const auto ef = static_cast<Word>(e - (k << ES));
+    // Regime: (k+1) ones then the 0 terminator, or (-k) zeros then the 1
+    // terminator; the ES exponent bits follow.
+    const Word regime = (k >= 0) ? (Word{2} << (k + 1)) - 2 : Word{1};
+    const int len = ((k >= 0) ? k + 2 : 1 - k) + ES;
+    return detail::encode_stream<N, Word, Storage>((regime << ES) | ef, len, m, guard, sticky);
   }
 };
 

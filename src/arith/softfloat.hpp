@@ -23,7 +23,6 @@
 #include <string_view>
 #include <type_traits>
 
-#include "support/floatbits.hpp"
 #include "support/int128.hpp"
 
 namespace mfla {
@@ -112,86 +111,54 @@ class SoftFloat {
   [[nodiscard]] constexpr bool is_finite() const noexcept { return !is_nan() && !is_inf(); }
 
   // -- Conversions ---------------------------------------------------------
+  /// Round-to-nearest-even straight on the double's bits. For a normal
+  /// target the rebiased exponent+fraction word is rounded with one add and
+  /// one shift: a carry out of the fraction bumps the exponent, and any
+  /// result at or past the overflow pattern becomes inf (IEEE) or NaN
+  /// (E4M3). Only subnormal targets and specials take another branch.
   [[nodiscard]] static constexpr SoftFloat from_double(double d) noexcept {
-    const DoubleParts p = decompose_double(d);
-    if (p.nan) return nan();
-    if (p.inf) {
-      if constexpr (F == Flavor::ieee) {
-        return p.neg ? negate(infinity()) : infinity();
-      } else {
-        return nan();
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    const auto sign = static_cast<Storage>((bits >> 63) << (E + M));
+    const std::uint64_t a = bits & ~(1ull << 63);
+    if (a >= kRebias + (1ull << 52)) {  // |d| >= 2^kEmin, or inf/NaN
+      const std::uint64_t r = round_shift(a - kRebias, 52 - M);
+      if (r >= kOverflowBits) [[unlikely]] {
+        if constexpr (F == Flavor::ieee) {
+          if (a > kDoubleInfBits) return nan();
+          return from_bits(static_cast<Storage>(infinity().bits_ | sign));
+        } else {
+          return nan();
+        }
       }
+      return from_bits(static_cast<Storage>(r | sign));
     }
-    if (p.zero) return from_bits(static_cast<Storage>(p.neg ? (Storage{1} << (E + M)) : 0));
-
-    // Unbiased exponent of d (value = 1.xxx * 2^et).
-    const int et = p.e + 52;
-    // Quantum: the weight of the target mantissa LSB.
-    const int q = (et > kEmin ? et : kEmin) - M;
-    // shift >= 52 - M > 0 always holds (M <= 10), so we always shift right.
-    const int shift = q - p.e;
-    std::uint64_t t;
-    bool round_bit = false, sticky = false;
-    if (shift >= 64) {
-      t = 0;
-      sticky = p.sig != 0;
-    } else {
-      t = p.sig >> shift;
-      round_bit = (shift >= 1) && ((p.sig >> (shift - 1)) & 1);
-      sticky = (shift >= 2) && ((p.sig & ((1ull << (shift - 1)) - 1)) != 0);
-    }
-    if (round_bit && (sticky || (t & 1))) ++t;
-
-    int e_out = (et > kEmin ? et : kEmin);
-    if (t >= (1ull << (M + 1))) {  // rounding carried out of the mantissa
-      t >>= 1;
-      ++e_out;
-    }
-    if (t == 0) return from_bits(static_cast<Storage>(p.neg ? (Storage{1} << (E + M)) : 0));
-
-    Storage be, mf;
-    if (t < (1ull << M)) {  // subnormal target
-      be = 0;
-      mf = static_cast<Storage>(t);
-    } else {
-      be = static_cast<Storage>(e_out - kEmin + 1);
-      mf = static_cast<Storage>(t - (1ull << M));
-    }
-    // Overflow handling.
-    if constexpr (F == Flavor::ieee) {
-      if (be >= mask(E)) {
-        const SoftFloat inf = infinity();
-        return p.neg ? negate(inf) : inf;
-      }
-    } else {
-      // finite_nan: the very last encoding (all ones) is NaN; anything at or
-      // beyond it maps to NaN (OCP OFP8 non-saturating conversion).
-      if (be > mask(E) || (be == mask(E) && mf >= mask(M))) return nan();
-    }
-    Storage out = static_cast<Storage>((be << M) | mf);
-    if (p.neg) out |= static_cast<Storage>(Storage{1} << (E + M));
-    return from_bits(out);
+    // Subnormal target (or zero): round sig * 2^(be - 1075) to a multiple of
+    // 2^(kEmin - M). A carry into bit M yields the minimum normal encoding.
+    const int be = static_cast<int>(a >> 52);
+    const int shift = (1076 - kBias - M) - be;  // >= 53 - M
+    if (be == 0 || shift > 53) return from_bits(sign);  // below half of minpos
+    const std::uint64_t sig = (1ull << 52) | (a & ((1ull << 52) - 1));
+    return from_bits(static_cast<Storage>(round_shift(sig, shift) | sign));
   }
 
+  /// Builds the double's bits directly: a normal encoding is rebiased with
+  /// one shift and one add; a subnormal one is scaled by an exact power of two.
   [[nodiscard]] constexpr double to_double() const noexcept {
-    const bool neg = signbit();
-    const Storage be = (bits_ >> M) & mask(E);
-    const Storage mf = bits_ & mask(M);
-    if constexpr (F == Flavor::ieee) {
-      if (be == mask(E)) {
-        if (mf != 0) return std::numeric_limits<double>::quiet_NaN();
-        return neg ? -std::numeric_limits<double>::infinity() : std::numeric_limits<double>::infinity();
+    const Storage mag = bits_ & mask(E + M);
+    const std::uint64_t sign = static_cast<std::uint64_t>(signbit()) << 63;
+    if (mag >= (Storage{1} << M)) {
+      if constexpr (F == Flavor::ieee) {
+        if ((mag >> M) == mask(E)) {
+          if ((mag & mask(M)) != 0) return std::numeric_limits<double>::quiet_NaN();
+          return std::bit_cast<double>(kDoubleInfBits | sign);
+        }
+      } else {
+        if (mag == mask(E + M)) return std::numeric_limits<double>::quiet_NaN();
       }
-    } else {
-      if (be == mask(E) && mf == mask(M)) return std::numeric_limits<double>::quiet_NaN();
+      return std::bit_cast<double>(((static_cast<std::uint64_t>(mag) << (52 - M)) + kRebias) | sign);
     }
-    double mag;
-    if (be == 0) {
-      mag = std::ldexp(static_cast<double>(mf), kEmin - M);
-    } else {
-      mag = std::ldexp(static_cast<double>((1ull << M) | mf), static_cast<int>(be) + kEmin - 1 - M);
-    }
-    return neg ? -mag : mag;
+    const double v = static_cast<double>(mag) * kSubnormalScale;
+    return sign ? -v : v;
   }
 
   explicit constexpr operator double() const noexcept { return to_double(); }
@@ -242,6 +209,23 @@ class SoftFloat {
   }
 
  private:
+  // Offset between the double's biased exponent field and this format's,
+  // in place at bit 52 (1023 - kBias > 0 for E <= 8).
+  static constexpr std::uint64_t kRebias = static_cast<std::uint64_t>(1023 - kBias) << 52;
+  static constexpr std::uint64_t kDoubleInfBits = 0x7ffull << 52;
+  // First rounded magnitude that no longer converts to a finite value: the
+  // infinity pattern (IEEE) or the all-ones NaN pattern (E4M3).
+  static constexpr std::uint64_t kOverflowBits =
+      (F == Flavor::ieee) ? ((1ull << E) - 1) << M : (1ull << (E + M)) - 1;
+  // 2^(kEmin - M), the weight of a subnormal's mantissa LSB (a normal double).
+  static constexpr double kSubnormalScale =
+      std::bit_cast<double>(static_cast<std::uint64_t>(1023 + kEmin - M) << 52);
+
+  /// x / 2^s rounded to nearest, ties to even (1 <= s <= 63).
+  [[nodiscard]] static constexpr std::uint64_t round_shift(std::uint64_t x, int s) noexcept {
+    return (x + ((1ull << (s - 1)) - 1) + ((x >> s) & 1)) >> s;
+  }
+
   [[nodiscard]] static constexpr Storage mask(int n) noexcept {
     return static_cast<Storage>((n >= kBits && static_cast<unsigned>(n) >= 8 * sizeof(Storage))
                                     ? ~Storage{0}

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "arith/tapered.hpp"
 
@@ -30,6 +31,10 @@ struct TakumCodec {
 
   static constexpr int nbits = N;
   using Storage = detail::uint_for_bits<N>;
+  // The encode prefix (direction, regime, characteristic) is at most 11
+  // bits; takum64 needs a 128-bit word only for the rest bits below its
+  // 64-bit cut.
+  using Word = std::conditional_t<(N < 64), std::uint64_t, u128>;
 
   static constexpr int max_exponent = 255;  // |c| <= 255 by construction
 
@@ -63,28 +68,22 @@ struct TakumCodec {
     // (Width-induced truncation saturates via round_payload's clamps.)
     if (e >= max_exponent) return static_cast<Storage>(maxpos);
     if (e < -max_exponent) return Storage{1};
-    int d, rho, cbits;
-    std::uint64_t c_field;
+    int d, rho, cbits, c_field;
     if (e >= 0) {
       d = 1;
       rho = detail::bitlen(static_cast<unsigned>(e) + 1) - 1;
       cbits = rho;
-      c_field = static_cast<std::uint64_t>(e - ((1 << rho) - 1));
+      c_field = e - ((1 << rho) - 1);
     } else {
       d = 0;
       const int t = -e;
       const int fl = detail::bitlen(static_cast<unsigned>(t)) - 1;
       rho = 7 - fl;
       cbits = 7 - rho;
-      c_field = static_cast<std::uint64_t>(e + (1 << (8 - rho)) - 1);
+      c_field = e + (1 << (8 - rho)) - 1;
     }
-    detail::BitBuilder bb;
-    bb.put(static_cast<std::uint64_t>(d), 1);
-    bb.put(static_cast<std::uint64_t>(rho), 3);
-    bb.put(c_field, cbits);
-    bb.put(m & ((1ull << 63) - 1), 63);
-    bb.put(guard ? 1 : 0, 1);
-    return detail::round_payload<Storage>(N, bb.extract(N - 1), sticky);
+    const auto prefix = static_cast<Word>((((d << 3) | rho) << cbits) | c_field);
+    return detail::encode_stream<N, Word, Storage>(prefix, 4 + cbits, m, guard, sticky);
   }
 };
 

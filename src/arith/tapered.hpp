@@ -12,7 +12,8 @@
 // TaperedFloat<Codec> implements +,-,*,/ and sqrt with an exact 128-bit
 // integer significand engine: every operation decodes to
 // (sign, exponent, 64-bit significand), computes the exact result with
-// guard/sticky information, and re-encodes with a single correct rounding.
+// guard/sticky information, and re-encodes with a single correct rounding
+// (the codec's closed-form encode_positive, built on encode_stream below).
 // There is no intermediate float anywhere, so results are bit-exact
 // regardless of host rounding modes.
 #pragma once
@@ -36,62 +37,49 @@ struct Unpacked {
 
 namespace detail {
 
-/// Assembles an "infinitely precise" encoding from the top down into a
-/// 128-bit accumulator; bits pushed past the bottom turn into sticky.
-class BitBuilder {
- public:
-  void put(std::uint64_t bits, int width) noexcept {
-    if (width <= 0) return;
-    if (width < 64) bits &= (1ull << width) - 1;
-    pos_ -= width;
-    if (pos_ >= 0) {
-      acc_ |= static_cast<u128>(bits) << pos_;
-      return;
-    }
-    const int below = -pos_;
-    if (below >= width) {
-      sticky_ = sticky_ || bits != 0;
-      return;
-    }
-    acc_ |= static_cast<u128>(bits) >> below;
-    const std::uint64_t lost = bits & ((below >= 64) ? ~0ull : ((1ull << below) - 1));
-    sticky_ = sticky_ || lost != 0;
-  }
-
-  struct Extracted {
-    std::uint64_t payload;
-    bool guard;
-    bool rest;
-  };
-
-  /// Take the top `width` bits (width <= 63) as the payload; the next bit is
-  /// the guard, everything below (plus overflow sticky) is `rest`.
-  [[nodiscard]] Extracted extract(int width) const noexcept {
-    Extracted r{};
-    r.payload = static_cast<std::uint64_t>(acc_ >> (128 - width));
-    r.guard = (acc_ >> (128 - width - 1)) & 1;
-    r.rest = ((acc_ << (width + 1)) != 0) || sticky_;
-    return r;
-  }
-
- private:
-  u128 acc_ = 0;
-  int pos_ = 128;
-  bool sticky_ = false;
-};
-
 /// Encoding-level round-to-nearest-even with posit/takum saturation:
 /// payload+1 on round-up; never produces 0 (minpos clamp) and never crosses
 /// into the NaR pattern (maxpos clamp).
 template <typename Storage>
-[[nodiscard]] Storage round_payload(int nbits, BitBuilder::Extracted x, bool extra_sticky) noexcept {
-  const bool rest = x.rest || extra_sticky;
-  std::uint64_t p = x.payload;
-  if (x.guard && (rest || (p & 1))) ++p;
+[[nodiscard]] Storage round_payload(int nbits, std::uint64_t payload, bool guard,
+                                    bool rest) noexcept {
+  std::uint64_t p = payload;
+  if (guard && (rest || (p & 1))) ++p;
   const std::uint64_t top = 1ull << (nbits - 1);
   if (p >= top) p = top - 1;  // saturate below NaR
   if (p == 0) p = 1;          // never round a non-zero value to zero
   return static_cast<Storage>(p);
+}
+
+/// Closed-form encode shared by the tapered codecs. The "infinitely
+/// precise" positive encoding is the `len`-bit exponent prefix (regime or
+/// characteristic), then the 63 fraction bits of m (its leading 1 is
+/// implicit), then the guard bit, then the sticky flag. The three pieces
+/// are laid out top-down in one Word, cut into the N-1 payload bits, the
+/// next (guard) bit and the rest, and rounded once.
+///
+/// Word is uint64_t when every prefix fits with 1 <= len <= 63 and N <= 63;
+/// otherwise u128, whose only lossy case (len > 64, posit64 with a long
+/// regime) folds the fraction bits pushed off the bottom into the rest.
+template <int N, class Word, class Storage>
+[[nodiscard]] Storage encode_stream(Word prefix, int len, std::uint64_t m, bool guard,
+                                    bool sticky) noexcept {
+  constexpr int kW = 8 * static_cast<int>(sizeof(Word));
+  static_assert(N < kW, "the rest bits below the guard need a wider word");
+  const std::uint64_t tail = (m << 1) | (guard ? 1u : 0u);  // fraction ++ guard
+  Word w = prefix << (kW - len);
+  bool lost;
+  if constexpr (kW == 64) {
+    w |= tail >> len;
+    lost = (tail << (64 - len)) != 0;
+  } else {
+    w |= (static_cast<u128>(tail) << 64) >> len;
+    lost = len > 64 && (tail << (128 - len)) != 0;
+  }
+  const auto payload = static_cast<std::uint64_t>(w >> (kW - (N - 1)));
+  const bool g = static_cast<bool>((w >> (kW - N)) & 1);
+  const bool rest = (w << N) != 0 || lost || sticky;
+  return round_payload<Storage>(N, payload, g, rest);
 }
 
 [[nodiscard]] constexpr int bitlen(unsigned v) noexcept {

@@ -45,10 +45,17 @@ struct DoubleParts {
 }
 
 /// Reassemble sign/significand/exponent into the nearest double
-/// (round-to-nearest-even, graceful overflow/underflow via ldexp).
+/// (round-to-nearest-even, graceful overflow/underflow). When 2^e is a
+/// normal double the scale is built from its bits: the product of the
+/// (correctly rounded) significand with an exact power of two is the same
+/// single rounding ldexp performs; other exponents go through ldexp.
 [[nodiscard]] inline double compose_double(bool neg, std::uint64_t sig, int e) noexcept {
   // static_cast<double>(sig) rounds the 64-bit integer correctly (RNE).
-  const double mag = __builtin_ldexp(static_cast<double>(sig), e);
+  const double x = static_cast<double>(sig);
+  const double mag =
+      (e >= -1022 && e <= 1023)
+          ? x * std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52)
+          : __builtin_ldexp(x, e);
   return neg ? -mag : mag;
 }
 

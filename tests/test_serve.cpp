@@ -219,12 +219,14 @@ std::string slurp(const std::string& path) {
 /// Shared state root: the server-side reference cache warms on the first
 /// daemon sweep and every later test serves references from it. Cleared
 /// once per binary run.
-const std::string& state_root() {
-  static const std::string root = [] {
-    std::filesystem::remove_all("test_out/serve_state");
-    std::filesystem::create_directories("test_out/serve_state");
-    return std::string("test_out/serve_state");
-  }();
+/// A fresh state root per daemon. ctest runs every test in its own process,
+/// in parallel; a shared root let one test's start-up wipe another's
+/// in-flight sweep directories, or leave canceled journals where another
+/// test asserts an empty `sweeps/`.
+std::string state_root(const std::string& tag) {
+  const std::string root = "test_out/" + tag + "_state";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
   return root;
 }
 
@@ -233,7 +235,7 @@ struct DaemonFixture {
   explicit DaemonFixture(const std::string& tag, serve::SchedulerLimits limits = {}) {
     serve::ServerOptions opts;
     opts.socket_path = "test_out/" + tag + ".sock";
-    opts.state_dir = state_root();
+    opts.state_dir = state_root(tag);
     opts.threads = 4;
     opts.limits = limits;
     opts.io_timeout_ms = 60000;

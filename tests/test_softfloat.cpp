@@ -3,8 +3,10 @@
 // special-value semantics.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "arith/softfloat.hpp"
 #include "arith/traits.hpp"
@@ -185,6 +187,35 @@ TEST(SoftFloatSpecial, E4M3OverflowMakesNaN) {
 TEST(SoftFloatSpecial, E5M2OverflowMakesInf) {
   EXPECT_TRUE(OFP8E5M2(1e6).is_inf());
   EXPECT_TRUE((OFP8E5M2(57344.0) + OFP8E5M2(57344.0)).is_inf());
+}
+
+// Every finite |x| >= 2^(Emax+1) overflows, however far past the format's
+// range: the biased exponent must not wrap in the 8-bit storage (which once
+// made 0x1p256 convert to 1.0 in E4M3 and DBL_MAX to 1.0 in E5M2), and the
+// loss must be visible to the dynamic-range classification.
+template <typename T>
+void huge_inputs_overflow(bool to_nan) {
+  std::vector<double> xs = {DBL_MAX};
+  for (int e = T::kEmax + 1; e <= 1023; ++e) xs.push_back(std::ldexp(1.0, e));
+  for (const double x : xs) {
+    for (const double s : {x, -x}) {
+      const T y = T::from_double(s);
+      if (to_nan) {
+        EXPECT_TRUE(y.is_nan()) << std::hexfloat << s;
+      } else {
+        EXPECT_TRUE(y.is_inf()) << std::hexfloat << s;
+        EXPECT_EQ(y.signbit(), s < 0) << std::hexfloat << s;
+      }
+      EXPECT_TRUE(conversion_loses_value<T>(s)) << std::hexfloat << s;
+    }
+  }
+}
+
+TEST(SoftFloatSpecial, HugeInputsOverflowWithoutExponentWrap) {
+  huge_inputs_overflow<OFP8E4M3>(true);
+  huge_inputs_overflow<OFP8E5M2>(false);
+  huge_inputs_overflow<Float16>(false);
+  huge_inputs_overflow<BFloat16>(false);
 }
 
 TEST(SoftFloatSpecial, UnderflowToZero) {
