@@ -2,7 +2,7 @@
 // float128 reference stage with and without the persistent cache.
 //
 // A plain executable (no Google Benchmark dependency): it runs the real
-// task-parallel engine twice against the same cache directory and reports
+// api::Sweep engine twice against the same cache directory and reports
 // the reference-stage wall-clock of each pass plus the speedup, as JSON.
 // The warm pass must execute zero float128 solves — that, and the >=10x
 // reference-stage speedup on this corpus, are the cache's acceptance bar
@@ -10,14 +10,13 @@
 //
 // Usage: bench_reference_cache [output.json]
 //   MFLA_BENCH_SCALE=0.5 shrinks the corpus (smoke runs).
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "mfla.hpp"
+#include "api/api.hpp"
 
 namespace {
 
@@ -37,14 +36,12 @@ struct PassResult {
 
 PassResult run_pass(const std::vector<TestMatrix>& dataset, const std::vector<FormatId>& formats,
                     const ExperimentConfig& cfg, ReferenceCache* cache) {
+  const api::SweepResult sweep =
+      api::Sweep::over(dataset).formats(formats).config(cfg).cache(cache).run();
   PassResult pr;
-  ScheduleOptions sched;
-  sched.ref_cache = cache;
-  sched.stats = &pr.stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = run_experiment(dataset, formats, cfg, sched);
-  pr.total_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  for (const auto& r : results) {
+  pr.total_seconds = sweep.elapsed_seconds;
+  pr.stats = sweep.stats;
+  for (const auto& r : sweep.results) {
     if (!r.reference_ok)
       std::fprintf(stderr, "warning: reference failed for %s: %s\n", r.name.c_str(),
                    r.reference_failure.c_str());

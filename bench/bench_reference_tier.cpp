@@ -4,7 +4,7 @@
 // rate, as JSON.
 //
 // A plain executable (no Google Benchmark dependency) running the real
-// task-parallel engine with no reference cache, so every reference solve
+// api::Sweep engine with no reference cache, so every reference solve
 // is executed in the tier under test. The corpus is well-conditioned
 // graph Laplacians on which the dd certification bound holds, so the
 // acceptance bar is: zero promotions and a >=2x reference-stage speedup
@@ -13,13 +13,12 @@
 //
 // Usage: bench_reference_tier [output.json]
 //   MFLA_BENCH_SCALE=0.5 shrinks the corpus (smoke runs).
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "mfla.hpp"
+#include "api/api.hpp"
 
 namespace {
 
@@ -39,13 +38,11 @@ struct PassResult {
 
 PassResult run_pass(const std::vector<TestMatrix>& dataset, const std::vector<FormatId>& formats,
                     const ExperimentConfig& cfg) {
+  const api::SweepResult sweep = api::Sweep::over(dataset).formats(formats).config(cfg).run();
   PassResult pr;
-  ScheduleOptions sched;
-  sched.stats = &pr.stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = run_experiment(dataset, formats, cfg, sched);
-  pr.total_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  for (const auto& r : results) {
+  pr.total_seconds = sweep.elapsed_seconds;
+  pr.stats = sweep.stats;
+  for (const auto& r : sweep.results) {
     if (!r.reference_ok)
       std::fprintf(stderr, "warning: reference failed for %s: %s\n", r.name.c_str(),
                    r.reference_failure.c_str());

@@ -8,16 +8,12 @@
 // worker that draws the large matrix serializes its whole format sweep
 // while the other workers idle; with task granularity its format runs fan
 // out as soon as the reference lands.
-//
-// The matrix-granularity baseline is the deprecated legacy path, exercised
-// here on purpose.
-#define MFLA_ALLOW_DEPRECATED
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "api/sweep.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
 #include "support/rng.hpp"
@@ -53,6 +49,22 @@ ExperimentConfig bench_config() {
   return cfg;
 }
 
+/// One matrix on the calling thread: its reference, then every format.
+MatrixResult solve_matrix_sequentially(const TestMatrix& tm,
+                                       const std::vector<FormatId>& formats,
+                                       const ExperimentConfig& cfg) {
+  MatrixResult res;
+  res.name = tm.name;
+  Rng rng(tm.name, cfg.seed);
+  const std::vector<double> start = rng.unit_vector(tm.n());
+  const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
+  res.reference_ok = ref.ok;
+  if (ref.ok)
+    for (const FormatId id : formats)
+      res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
+  return res;
+}
+
 /// The old engine, reconstructed: parallelism across matrices only.
 void BM_MatrixGranularity(benchmark::State& state) {
   const auto ds = skewed_corpus();
@@ -65,7 +77,7 @@ void BM_MatrixGranularity(benchmark::State& state) {
       ThreadPool pool(threads);
       for (std::size_t i = 0; i < ds.size(); ++i) {
         pool.submit([&results, &ds, &formats, &cfg, i] {
-          results[i] = run_matrix(ds[i], formats, cfg);
+          results[i] = solve_matrix_sequentially(ds[i], formats, cfg);
         });
       }
       pool.wait_idle();
@@ -77,13 +89,12 @@ void BM_MatrixGranularity(benchmark::State& state) {
 /// The task-parallel engine: (matrix, format) granularity with cached
 /// per-matrix references.
 void BM_TaskGranularity(benchmark::State& state) {
-  const auto ds = skewed_corpus();
-  const auto formats = bench_formats();
-  const auto cfg = bench_config();
-  ScheduleOptions sched;
-  sched.threads = static_cast<std::size_t>(state.range(0));
+  api::Sweep sweep = api::Sweep::over(skewed_corpus());
+  sweep.formats(bench_formats())
+      .config(bench_config())
+      .threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto results = run_experiment(ds, formats, cfg, sched);
+    auto results = sweep.run().results;
     benchmark::DoNotOptimize(results.data());
   }
 }

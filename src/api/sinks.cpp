@@ -5,36 +5,9 @@
 #include <utility>
 
 #include "api/sweep.hpp"
+#include "core/results_io.hpp"
 
 namespace mfla::api {
-
-// ---------------------------------------------------------------------------
-// MultiSink
-// ---------------------------------------------------------------------------
-
-MultiSink::MultiSink(std::vector<std::shared_ptr<ResultSink>> sinks)
-    : sinks_(std::move(sinks)) {}
-
-MultiSink& MultiSink::add(std::shared_ptr<ResultSink> sink) {
-  sinks_.push_back(std::move(sink));
-  return *this;
-}
-
-void MultiSink::on_meta(const SweepMeta& m) {
-  for (const auto& s : sinks_) s->on_meta(m);
-}
-void MultiSink::on_run(const RunEvent& e) {
-  for (const auto& s : sinks_) s->on_run(e);
-}
-void MultiSink::on_reference(const ReferenceEvent& e) {
-  for (const auto& s : sinks_) s->on_reference(e);
-}
-void MultiSink::on_fault(const FaultEvent& e) {
-  for (const auto& s : sinks_) s->on_fault(e);
-}
-void MultiSink::on_done(const SweepResult& r) {
-  for (const auto& s : sinks_) s->on_done(r);
-}
 
 // ---------------------------------------------------------------------------
 // CsvSink
@@ -48,26 +21,6 @@ void CsvSink::on_done(const SweepResult& r) {
     return;
   }
   write_results_csv(path_, r.results);
-}
-
-// ---------------------------------------------------------------------------
-// JournalSink
-// ---------------------------------------------------------------------------
-
-JournalSink::JournalSink(std::string path)
-    : path_(std::move(path)),
-      writer_(std::make_unique<JournalWriter>(path_, /*truncate=*/true)) {}
-
-void JournalSink::on_meta(const SweepMeta& m) {
-  writer_->write_meta(make_journal_meta(m.config, m.formats, m.matrix_count));
-}
-
-void JournalSink::on_run(const RunEvent& e) {
-  writer_->write_run(e.matrix, e.n, e.nnz, e.run);
-}
-
-void JournalSink::on_reference(const ReferenceEvent& e) {
-  writer_->write_reference_failure(e.matrix, e.n, e.nnz, e.failure);
 }
 
 // ---------------------------------------------------------------------------

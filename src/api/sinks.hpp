@@ -7,25 +7,23 @@
 // solve guard converted into a structured failure, `on_done` once with the
 // assembled SweepResult. The engine serializes on_run/on_reference/on_fault
 // under one lock, so sinks observe a monotonically increasing `done` count
-// and never run concurrently with themselves or each other.
+// and never run concurrently with themselves or each other. Sweep::sink()
+// may be called repeatedly; every event fans out to every attached sink in
+// registration order.
 //
 // Provided sinks: CsvSink (raw results CSV, byte-identical to
-// write_results_csv), JournalSink (JSONL event journal in the checkpoint
-// format), MemorySink (records everything, for tests and in-process
-// consumers), ProgressSink (stderr progress line with ETA), MultiSink
-// (fan-out). Sweep::sink() already fans out, so MultiSink is for nesting
-// pipelines inside code that only accepts a single sink.
+// write_results_csv), MemorySink (records everything, for tests and
+// in-process consumers), ProgressSink (stderr progress line with ETA). The
+// resumable JSONL journal is Sweep::checkpoint(), not a sink.
 #pragma once
 
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "arith/format_registry.hpp"
 #include "core/experiment.hpp"
-#include "core/results_io.hpp"
 
 namespace mfla::api {
 
@@ -39,10 +37,6 @@ struct SweepMeta {
   /// Size of the whole sweep (matrix_count * formats). With resume, fewer
   /// runs may execute; run events carry the per-invocation total.
   std::size_t total_runs = 0;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  std::string checkpoint_path;
-  bool resume = false;
-  std::string cache_dir;
 };
 
 /// One completed (matrix, format) evaluation. Journal-replayed runs are not
@@ -92,23 +86,6 @@ class ResultSink {
   virtual void on_done(const SweepResult&) {}
 };
 
-/// Fan every event out to a list of child sinks, in registration order.
-class MultiSink final : public ResultSink {
- public:
-  MultiSink() = default;
-  explicit MultiSink(std::vector<std::shared_ptr<ResultSink>> sinks);
-  MultiSink& add(std::shared_ptr<ResultSink> sink);
-
-  void on_meta(const SweepMeta& m) override;
-  void on_run(const RunEvent& e) override;
-  void on_reference(const ReferenceEvent& e) override;
-  void on_fault(const FaultEvent& e) override;
-  void on_done(const SweepResult& r) override;
-
- private:
-  std::vector<std::shared_ptr<ResultSink>> sinks_;
-};
-
 /// Writes the raw per-run results CSV at on_done — byte-identical to
 /// write_results_csv over the same results. A canceled sweep
 /// (SweepStats::canceled_runs != 0) writes nothing: a partial CSV is
@@ -125,23 +102,6 @@ class CsvSink final : public ResultSink {
  private:
   std::string path_;
   bool skipped_ = false;
-};
-
-/// Streams the event log as a JSONL journal in the checkpoint format
-/// (meta / run / reference lines, flushed per event). Unlike
-/// Sweep::checkpoint() — which journals through the engine and powers
-/// resume — this sink just records; it always truncates its file.
-class JournalSink final : public ResultSink {
- public:
-  explicit JournalSink(std::string path);
-  void on_meta(const SweepMeta& m) override;
-  void on_run(const RunEvent& e) override;
-  void on_reference(const ReferenceEvent& e) override;
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-  std::unique_ptr<JournalWriter> writer_;
 };
 
 /// Records every event in arrival order; for tests and in-process

@@ -120,11 +120,6 @@ Sweep& Sweep::sink(std::shared_ptr<ResultSink> s) {
   return *this;
 }
 
-Sweep& Sweep::progress(std::function<void(const ExperimentProgress&)> fn) {
-  progress_ = std::move(fn);
-  return *this;
-}
-
 namespace {
 
 /// The checkpoint journal needs its directory; create it (mkdir -p
@@ -159,91 +154,26 @@ SweepResult Sweep::run() {
     throw std::invalid_argument("Sweep: resume() requires checkpoint(path)");
   if (!checkpoint_.empty()) require_checkpoint_directory(checkpoint_);
 
-  ScheduleOptions sched;
-  sched.threads = threads_;
-  sched.pool = pool_;
-  sched.cancel = cancel_;
-  sched.checkpoint_path = checkpoint_;
-  sched.resume = resume_;
-  SweepStats stats;
-  sched.stats = &stats;
-
-  std::unique_ptr<ReferenceCache> cache;
-  if (shared_cache_ != nullptr) {
-    sched.ref_cache = shared_cache_;
-  } else if (!cache_dir_.empty()) {
-    cache = std::make_unique<ReferenceCache>(cache_dir_);
-    sched.ref_cache = cache.get();
+  std::unique_ptr<ReferenceCache> own_cache;
+  ReferenceCache* cache = shared_cache_;
+  if (cache == nullptr && !cache_dir_.empty()) {
+    own_cache = std::make_unique<ReferenceCache>(cache_dir_);
+    cache = own_cache.get();
   }
-
-  // The engine fires on_run/on_reference_failure serialized under one lock,
-  // so the per-event sink fan-out below needs no locking of its own.
-  std::size_t executed = 0;
-  if (!sinks_.empty()) {
-    sched.on_run = [this, &executed](const TestMatrix& tm, const FormatRun& run,
-                                     const ExperimentProgress& p) {
-      ++executed;
-      RunEvent e;
-      e.matrix = tm.name;
-      e.n = tm.n();
-      e.nnz = tm.nnz();
-      e.run = run;
-      e.done = p.done;
-      e.total = p.total;
-      e.elapsed_seconds = p.elapsed_seconds;
-      for (const auto& s : sinks_) s->on_run(e);
-    };
-    sched.on_reference_failure = [this](const TestMatrix& tm, const std::string& failure,
-                                        const ExperimentProgress& p) {
-      ReferenceEvent e;
-      e.matrix = tm.name;
-      e.n = tm.n();
-      e.nnz = tm.nnz();
-      e.failure = failure;
-      e.done = p.done;
-      e.total = p.total;
-      e.elapsed_seconds = p.elapsed_seconds;
-      for (const auto& s : sinks_) s->on_reference(e);
-    };
-    sched.on_fault = [this](const TestMatrix& tm, const SolveFault& f) {
-      FaultEvent e;
-      e.matrix = tm.name;
-      e.n = tm.n();
-      e.nnz = tm.nnz();
-      e.stage = f.stage;
-      if (std::string(f.stage) == "format") e.format = format_info(f.format).name;
-      e.what = f.what;
-      for (const auto& s : sinks_) s->on_fault(e);
-    };
-  } else {
-    sched.on_run = [&executed](const TestMatrix&, const FormatRun&, const ExperimentProgress&) {
-      ++executed;
-    };
-  }
-  if (progress_) sched.on_progress = progress_;
 
   SweepMeta meta;
   meta.config = cfg_;
   meta.formats = formats_;
   meta.matrix_count = corpus_.size();
   meta.total_runs = corpus_.size() * formats_.size();
-  meta.threads = threads_;
-  meta.checkpoint_path = checkpoint_;
-  meta.resume = resume_;
-  meta.cache_dir = cache_dir_;
   for (const auto& s : sinks_) s->on_meta(meta);
 
   const auto t0 = std::chrono::steady_clock::now();
   SweepResult out;
-  out.results = run_experiment(corpus_, formats_, cfg_, sched);
+  execute(cache, out);
   out.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  out.stats = stats;
-  out.executed_runs = executed;
-  if (shared_cache_ != nullptr) {
-    out.cache_attached = true;
-    out.cache = shared_cache_->stats();
-  } else if (cache) {
+  if (cache != nullptr) {
     out.cache_attached = true;
     out.cache = cache->stats();
   }

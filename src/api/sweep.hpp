@@ -10,18 +10,16 @@
 //                     .sink(std::make_shared<api::CsvSink>("out/raw.csv"))
 //                     .run();
 //
-// Sweep subsumes the former three-struct sprawl (ExperimentConfig,
-// ScheduleOptions, PartialSchurOptions wiring) behind one builder,
-// validates the configuration up front (std::invalid_argument with a
-// precise message instead of a half-started sweep), and drives the
-// task-parallel engine with the ResultSink event pipeline attached.
-// Results are byte-identical to the legacy run_experiment +
-// write_results_csv path for the same corpus/config/threads.
+// Sweep is the only driver of the pipeline: it validates the
+// configuration up front (std::invalid_argument with a precise message
+// instead of a half-started sweep), then runs the task-parallel engine
+// (api/sweep_engine.cpp), which sends every event straight to the attached
+// ResultSinks. Results are bit-identical for any thread count.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +28,10 @@
 #include "core/experiment.hpp"
 #include "core/reference_cache.hpp"
 #include "datasets/test_matrix.hpp"
+
+namespace mfla {
+class ThreadPool;  // support/thread_pool.hpp
+}  // namespace mfla
 
 namespace mfla::api {
 
@@ -78,7 +80,7 @@ class Sweep {
   Sweep& reference_tier(const std::string& name);
   Sweep& config(const ExperimentConfig& cfg);  ///< wholesale override
 
-  // -- engine configuration (ScheduleOptions) -------------------------------
+  // -- engine configuration -------------------------------------------------
   Sweep& threads(std::size_t n);  ///< 0 = hardware concurrency
   /// Run on an externally owned ThreadPool instead of a per-run() pool —
   /// how the serving daemon multiplexes many tenant sweeps over one pool.
@@ -89,7 +91,12 @@ class Sweep {
   /// finish and are journaled — the drain path shared by the daemon's
   /// SIGTERM handling and the CLI's interrupt handling.
   Sweep& cancel(const std::atomic<bool>* flag);
+  /// JSONL journal path; every completed run is appended and flushed.
+  /// Requires unique matrix names in the corpus.
   Sweep& checkpoint(std::string path);
+  /// Replay the checkpoint journal and run only the missing runs. The
+  /// journal's meta line must match this sweep (std::runtime_error
+  /// otherwise); without resume an existing journal is truncated.
   Sweep& resume(bool on = true);
   Sweep& cache(std::string directory);
   /// Attach an externally owned ReferenceCache (shared across concurrent
@@ -97,8 +104,8 @@ class Sweep {
   Sweep& cache(ReferenceCache* shared);
 
   // -- observers ------------------------------------------------------------
+  /// Attach a sink; events fan out to every sink in registration order.
   Sweep& sink(std::shared_ptr<ResultSink> s);
-  Sweep& progress(std::function<void(const ExperimentProgress&)> fn);
 
   /// Validate and run. Throws std::invalid_argument on builder-state
   /// errors (empty corpus/formats, duplicate formats, nev == 0, resume
@@ -115,6 +122,11 @@ class Sweep {
  private:
   Sweep() = default;
 
+  /// The engine (api/sweep_engine.cpp): schedules the validated sweep,
+  /// streams events to the sinks and fills out.results, out.stats and
+  /// out.executed_runs.
+  void execute(ReferenceCache* ref_cache, SweepResult& out) const;
+
   std::vector<TestMatrix> corpus_;
   std::vector<FormatId> formats_;
   ExperimentConfig cfg_;
@@ -126,7 +138,6 @@ class Sweep {
   std::string cache_dir_;
   ReferenceCache* shared_cache_ = nullptr;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
-  std::function<void(const ExperimentProgress&)> progress_;
 };
 
 }  // namespace mfla::api

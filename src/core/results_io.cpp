@@ -199,7 +199,7 @@ void JournalWriter::append_line(const std::string& line) {
   if (MFLA_FAILPOINT("journal.flush") != 0) out_.setstate(std::ios::failbit);
   out_.flush();
   // Surface write failures (e.g. disk full) instead of silently dropping
-  // checkpoint records — the engine propagates this out of run_experiment.
+  // checkpoint records — the engine propagates this out of Sweep::run.
   if (!out_) throw IoError("journal: write failed (disk full or file removed?)");
 }
 

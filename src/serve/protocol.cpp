@@ -21,6 +21,17 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+/// An unsigned request field (fallback when absent) that must not exceed
+/// `max`; throws std::invalid_argument otherwise.
+std::uint64_t bounded_u64(const std::map<std::string, std::string>& obj, const char* key,
+                          std::uint64_t fallback, std::uint64_t max) {
+  const std::uint64_t v = jsonl::field_u64_or(obj, key, fallback);
+  if (v > max)
+    throw std::invalid_argument(std::string(key) + " " + std::to_string(v) +
+                                " exceeds the limit " + std::to_string(max));
+  return v;
+}
+
 }  // namespace
 
 bool parse_request(const std::string& line, Request& out, std::string& error) {
@@ -47,12 +58,12 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
   try {
     r.tenant = jsonl::field_str_or(obj, "tenant", r.tenant);
     r.corpus = jsonl::field_str_or(obj, "corpus", r.corpus);
-    r.count = static_cast<std::size_t>(jsonl::field_u64_or(obj, "count", r.count));
+    r.count = static_cast<std::size_t>(bounded_u64(obj, "count", r.count, kMaxCount));
     r.formats = jsonl::field_str_or(obj, "formats", r.formats);
-    r.nev = static_cast<std::size_t>(jsonl::field_u64_or(obj, "nev", r.nev));
-    r.buffer = static_cast<std::size_t>(jsonl::field_u64_or(obj, "buffer", r.buffer));
+    r.nev = static_cast<std::size_t>(bounded_u64(obj, "nev", r.nev, kMaxNev));
+    r.buffer = static_cast<std::size_t>(bounded_u64(obj, "buffer", r.buffer, kMaxBuffer));
     r.restarts = static_cast<int>(
-        jsonl::field_u64_or(obj, "restarts", static_cast<std::uint64_t>(r.restarts)));
+        bounded_u64(obj, "restarts", static_cast<std::uint64_t>(r.restarts), kMaxRestarts));
     r.which = jsonl::field_str_or(obj, "which", r.which);
     r.seed = jsonl::field_u64_or(obj, "seed", r.seed);
     r.ref_tier = jsonl::field_str_or(obj, "ref_tier", r.ref_tier);

@@ -44,6 +44,16 @@ inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 /// small, but matrix names are caller-controlled).
 inline constexpr std::size_t kMaxEventBytes = 1024 * 1024;
 
+/// Upper bounds on a sweep request's numeric fields — the same bounds
+/// mfla_experiment and mfla_client put on --count/--nev/--buffer/--restarts.
+/// parse_request rejects anything above them, so no request can wrap
+/// `restarts` into a negative or near-endless budget or make a connection
+/// build an unbounded corpus before admission.
+inline constexpr std::uint64_t kMaxCount = 1000000;
+inline constexpr std::uint64_t kMaxNev = 10000;
+inline constexpr std::uint64_t kMaxBuffer = 10000;
+inline constexpr std::uint64_t kMaxRestarts = 1000000;
+
 /// A serialized api::Sweep spec over the built-in corpora. Field defaults
 /// match mfla_experiment's CLI defaults, so the same spec submitted to the
 /// daemon and run as a batch yields byte-identical CSVs.
@@ -71,8 +81,8 @@ struct Request {
 };
 
 /// Parse one request line. Returns false with a message on malformed
-/// input (bad JSON, unknown type, bad numbers); unknown KEYS are ignored
-/// for forward compatibility.
+/// input (bad JSON, unknown type, bad or out-of-bound numbers); unknown
+/// KEYS are ignored for forward compatibility.
 [[nodiscard]] bool parse_request(const std::string& line, Request& out, std::string& error);
 
 [[nodiscard]] std::string serialize_request(const SweepRequest& r);

@@ -1,11 +1,7 @@
-// mfla::api facade tests: SweepBuilder-vs-legacy byte identity, the
-// ResultSink event pipeline (ordering and serialization under threads=N,
-// JournalSink vs engine journal), registry-driven format keys, and
-// invalid-builder-state errors.
-//
-// The legacy cross-checks intentionally drive the deprecated free-function
-// surface.
-#define MFLA_ALLOW_DEPRECATED
+// mfla::api facade tests: Sweep byte identity against a sequential loop
+// over the per-matrix building blocks, the ResultSink event pipeline
+// (ordering and serialization under threads=N, sink meta vs the checkpoint
+// journal), registry-driven format keys, and invalid-builder-state errors.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -44,6 +40,33 @@ ExperimentConfig api_config() {
   cfg.buffer = 2;
   cfg.max_restarts = 80;
   return cfg;
+}
+
+/// The pipeline run sequentially on the calling thread with no engine:
+/// per matrix the seeded start vector, the tiered reference, then every
+/// format in list order.
+std::vector<MatrixResult> sequential_results(const std::vector<TestMatrix>& ds,
+                                             const std::vector<FormatId>& formats,
+                                             const ExperimentConfig& cfg) {
+  std::vector<MatrixResult> out;
+  for (const TestMatrix& tm : ds) {
+    MatrixResult res;
+    res.name = tm.name;
+    res.klass = tm.klass;
+    res.category = tm.category;
+    res.n = tm.n();
+    res.nnz = tm.nnz();
+    Rng rng(tm.name, cfg.seed);
+    const std::vector<double> start = rng.unit_vector(tm.n());
+    const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
+    res.reference_ok = ref.ok;
+    res.reference_failure = ref.failure;
+    if (ref.ok)
+      for (const FormatId id : formats)
+        res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
+    out.push_back(std::move(res));
+  }
+  return out;
 }
 
 std::string slurp(const std::string& path) {
@@ -112,7 +135,7 @@ TEST(FormatRegistry, DispatchFormatRejectsForgedIds) {
 }
 
 // ---------------------------------------------------------------------------
-// SweepBuilder vs legacy engine: byte-identical results
+// SweepBuilder vs the sequential pipeline: byte-identical results
 // ---------------------------------------------------------------------------
 
 TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
@@ -120,11 +143,9 @@ TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
   const auto formats = api_formats();
   const auto cfg = api_config();
 
-  // Legacy: the raw engine + write_results_csv.
-  ScheduleOptions sched;
-  sched.threads = 2;
-  const std::string legacy_csv = csv_of(run_experiment(ds, formats, cfg, sched), "legacy");
-  ASSERT_FALSE(legacy_csv.empty());
+  // Sequential building blocks + write_results_csv, no engine.
+  const std::string sequential_csv = csv_of(sequential_results(ds, formats, cfg), "sequential");
+  ASSERT_FALSE(sequential_csv.empty());
 
   // Facade: same corpus/config/threads through the builder, raw CSV via a
   // CsvSink and via the returned results — all three must be byte-equal.
@@ -135,8 +156,8 @@ TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
                                      .threads(2)
                                      .sink(std::make_shared<api::CsvSink>(sink_path))
                                      .run();
-  EXPECT_EQ(csv_of(sweep.results, "builder"), legacy_csv);
-  EXPECT_EQ(slurp(sink_path), legacy_csv);
+  EXPECT_EQ(csv_of(sweep.results, "builder"), sequential_csv);
+  EXPECT_EQ(slurp(sink_path), sequential_csv);
   std::remove(sink_path.c_str());
 
   EXPECT_EQ(sweep.executed_runs, ds.size() * formats.size());
@@ -146,7 +167,7 @@ TEST(SweepBuilder, ByteIdenticalToLegacyPath) {
   // Thread-count invariance holds through the facade as well.
   const api::SweepResult serial =
       api::Sweep::over(ds).formats(formats).config(cfg).threads(1).run();
-  EXPECT_EQ(csv_of(serial.results, "serial"), legacy_csv);
+  EXPECT_EQ(csv_of(serial.results, "serial"), sequential_csv);
 }
 
 TEST(SweepBuilder, FluentNumericalSettersMatchConfigStruct) {
@@ -171,17 +192,19 @@ TEST(SweepBuilder, FluentNumericalSettersMatchConfigStruct) {
 // Sink pipeline
 // ---------------------------------------------------------------------------
 
-TEST(SinkPipeline, MultiSinkOrderingAndSerializationUnderThreads) {
+TEST(SinkPipeline, TwoSinksOrderingAndSerializationUnderThreads) {
   const auto ds = api_dataset();
   const auto formats = api_formats();
 
   auto a = std::make_shared<api::MemorySink>();
   auto b = std::make_shared<api::MemorySink>();
-  auto multi = std::make_shared<api::MultiSink>();
-  multi->add(a).add(b);
-
-  const api::SweepResult sweep =
-      api::Sweep::over(ds).formats(formats).config(api_config()).threads(4).sink(multi).run();
+  const api::SweepResult sweep = api::Sweep::over(ds)
+                                     .formats(formats)
+                                     .config(api_config())
+                                     .threads(4)
+                                     .sink(a)
+                                     .sink(b)
+                                     .run();
 
   for (const auto& sink : {a, b}) {
     ASSERT_TRUE(sink->has_meta());
@@ -198,7 +221,6 @@ TEST(SinkPipeline, MultiSinkOrderingAndSerializationUnderThreads) {
     EXPECT_EQ(meta.matrix_count, ds.size());
     EXPECT_EQ(meta.total_runs, ds.size() * formats.size());
     EXPECT_EQ(meta.formats, formats);
-    EXPECT_EQ(meta.threads, 4u);
 
     // Events are serialized: the done counter must be a strictly
     // increasing 1..total sequence even with 4 workers racing.
@@ -215,7 +237,7 @@ TEST(SinkPipeline, MultiSinkOrderingAndSerializationUnderThreads) {
     EXPECT_EQ(csv_of(sink->results(), "memory"), csv_of(sweep.results, "swept"));
   }
 
-  // Both fan-out children observed the identical sequence.
+  // Both sinks observed the identical sequence.
   const auto ra = a->runs();
   const auto rb = b->runs();
   ASSERT_EQ(ra.size(), rb.size());
@@ -226,34 +248,33 @@ TEST(SinkPipeline, MultiSinkOrderingAndSerializationUnderThreads) {
   }
 }
 
-TEST(SinkPipeline, JournalSinkMatchesEngineJournal) {
+TEST(SinkPipeline, CheckpointJournalMatchesSinkMeta) {
   const auto ds = api_dataset();
   const auto formats = api_formats();
   const auto cfg = api_config();
-  const std::string engine_path = "test_out/api_engine_journal.jsonl";
-  const std::string sink_path = "test_out/api_sink_journal.jsonl";
-  std::remove(engine_path.c_str());
-  std::remove(sink_path.c_str());
+  const std::string journal_path = "test_out/api_engine_journal.jsonl";
+  std::remove(journal_path.c_str());
 
-  // threads=1: engine journal writes and sink events happen in the same
-  // order, so the two files must be byte-identical.
+  auto mem = std::make_shared<api::MemorySink>();
   (void)api::Sweep::over(ds)
       .formats(formats)
       .config(cfg)
       .threads(1)
-      .checkpoint(engine_path)
-      .sink(std::make_shared<api::JournalSink>(sink_path))
+      .checkpoint(journal_path)
+      .sink(mem)
       .run();
-  EXPECT_EQ(slurp(engine_path), slurp(sink_path));
 
-  // Parsed contents agree with what the engine recorded.
-  const JournalContents jc = read_journal(sink_path);
+  // The journal records the sweep the sinks were told about, and every run
+  // they saw.
+  const JournalContents jc = read_journal(journal_path);
   EXPECT_TRUE(jc.has_meta);
   EXPECT_EQ(jc.meta, make_journal_meta(cfg, formats, ds.size()));
+  const api::SweepMeta meta = mem->meta();
+  EXPECT_EQ(jc.meta, make_journal_meta(meta.config, meta.formats, meta.matrix_count));
   EXPECT_EQ(jc.runs.size(), ds.size() * formats.size());
+  for (const auto& e : mem->runs()) EXPECT_EQ(jc.runs.count({e.matrix, e.run.format}), 1u);
   EXPECT_EQ(jc.skipped_lines, 0u);
-  std::remove(engine_path.c_str());
-  std::remove(sink_path.c_str());
+  std::remove(journal_path.c_str());
 }
 
 TEST(SinkPipeline, ReferenceFailureEventsReachSinks) {
@@ -279,7 +300,7 @@ TEST(SinkPipeline, ReferenceFailureEventsReachSinks) {
   EXPECT_EQ(sweep.executed_runs, 0u);
 }
 
-TEST(SinkPipeline, SolveFaultEventsReachSinksAndRecordFaultRuns) {
+TEST(SinkPipeline, FaultEventsReachSinksAndRecordFaultRuns) {
   // A solver abort (failpoint-injected here) must not kill the sweep: the
   // run is recorded with outcome "fault", sinks get an on_fault event, and
   // the sweep completes with the faults counted in its stats.

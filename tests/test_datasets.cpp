@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "datasets/general_corpus.hpp"
 #include "datasets/graph_corpus.hpp"
+#include "datasets/named_corpus.hpp"
 
 namespace mfla {
 namespace {
@@ -160,6 +162,36 @@ TEST(GraphCorpus, MiscellaneousIncludesRangeDrivers) {
     }
   }
   EXPECT_TRUE(has_tiny_entry);
+}
+
+TEST(NamedCorpus, BuildsEachCorpusLikeItsBuilder) {
+  GeneralCorpusOptions gopts;
+  gopts.count = 3;
+  const auto general = build_general_corpus(gopts);
+  const auto named_general = build_named_corpus("general", 3);
+  ASSERT_EQ(named_general.size(), general.size());
+  for (std::size_t i = 0; i < general.size(); ++i)
+    EXPECT_EQ(named_general[i].name, general[i].name);
+
+  GraphCorpusOptions opts;
+  opts.counts = {2, 2, 2, 2};
+  const auto social = build_graph_corpus(opts, "social");
+  const auto named_social = build_named_corpus("social", 2);
+  ASSERT_EQ(named_social.size(), social.size());
+  ASSERT_FALSE(named_social.empty());
+  for (std::size_t i = 0; i < social.size(); ++i) EXPECT_EQ(named_social[i].name, social[i].name);
+}
+
+TEST(NamedCorpus, UnknownNameThrowsListingTheValidOnes) {
+  try {
+    (void)build_named_corpus("socail", 2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown corpus 'socail' "
+                 "(expected general|biological|infrastructure|social|miscellaneous)");
+  }
+  EXPECT_THROW((void)build_named_corpus("", 2), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include "arith/dd.hpp"
 #include "arith/quad.hpp"
 #include "arith/traits.hpp"
-#include "core/experiment.hpp"
+#include "api/sweep.hpp"
 #include "core/reference_cache.hpp"
 #include "core/results_io.hpp"
 #include "graph/generators.hpp"
@@ -332,6 +332,14 @@ ExperimentConfig tier_config(ReferenceTier tier) {
   return cfg;
 }
 
+/// A sweep over `ds` with `cfg` on `threads` workers.
+api::Sweep tier_sweep(const std::vector<TestMatrix>& ds, const std::vector<FormatId>& formats,
+                      const ExperimentConfig& cfg, std::size_t threads) {
+  api::Sweep s = api::Sweep::over(ds);
+  s.formats(formats).config(cfg).threads(threads);
+  return s;
+}
+
 std::string csv_of(const std::vector<MatrixResult>& results, const std::string& tag) {
   const std::string path = "test_out/ddtier_" + tag + ".csv";
   write_results_csv(path, results);
@@ -346,21 +354,17 @@ TEST(ReferenceTierEngine, DdFirstMatchesF128OnlyByteForByteWhenNothingPromotes) 
   const auto ds = tier_dataset();
   const std::vector<FormatId> formats = {FormatId::float32, FormatId::takum16};
 
-  SweepStats f128_stats, dd_stats;
-  ScheduleOptions f128_sched;
-  f128_sched.threads = 2;
-  f128_sched.stats = &f128_stats;
-  const std::string f128_csv =
-      csv_of(run_experiment(ds, formats, tier_config(ReferenceTier::f128_only), f128_sched),
-             "f128");
+  const api::SweepResult f128 =
+      tier_sweep(ds, formats, tier_config(ReferenceTier::f128_only), 2).run();
+  const std::string f128_csv = csv_of(f128.results, "f128");
+  const SweepStats& f128_stats = f128.stats;
   EXPECT_EQ(f128_stats.reference_dd_solves, 0u) << "f128_only must never touch dd";
   EXPECT_EQ(f128_stats.reference_promotions, 0u);
 
-  ScheduleOptions dd_sched;
-  dd_sched.threads = 2;
-  dd_sched.stats = &dd_stats;
-  const std::string dd_csv = csv_of(
-      run_experiment(ds, formats, tier_config(ReferenceTier::dd_first), dd_sched), "dd");
+  const api::SweepResult dd =
+      tier_sweep(ds, formats, tier_config(ReferenceTier::dd_first), 2).run();
+  const std::string dd_csv = csv_of(dd.results, "dd");
+  const SweepStats& dd_stats = dd.stats;
 
   // Well-conditioned Laplacians certify in dd: no promotion, and the CSV —
   // every eigenvalue/eigenvector error of every format run — is
@@ -428,18 +432,14 @@ TEST(ReferenceTierEngine, IllConditionedMatrixForcesPromotionAndMatchesF128) {
     }
 
   // Engine telemetry counts the promotion.
-  SweepStats stats;
-  ScheduleOptions sched;
-  sched.threads = 1;
-  sched.stats = &stats;
   const std::vector<TestMatrix> ds = {tm};
   const std::vector<FormatId> formats = {FormatId::float64};
-  const auto dd_results = run_experiment(ds, formats, cfg, sched);
-  EXPECT_EQ(stats.reference_dd_solves, 1u);
-  EXPECT_EQ(stats.reference_promotions, 1u);
-  EXPECT_EQ(stats.reference_dd_certified, 0u);
-  const auto f128_results = run_experiment(ds, formats, f128_cfg, sched);
-  EXPECT_EQ(csv_of(dd_results, "promo_dd"), csv_of(f128_results, "promo_f128"));
+  const api::SweepResult dd = tier_sweep(ds, formats, cfg, 1).run();
+  EXPECT_EQ(dd.stats.reference_dd_solves, 1u);
+  EXPECT_EQ(dd.stats.reference_promotions, 1u);
+  EXPECT_EQ(dd.stats.reference_dd_certified, 0u);
+  const auto f128_results = tier_sweep(ds, formats, f128_cfg, 1).run().results;
+  EXPECT_EQ(csv_of(dd.results, "promo_dd"), csv_of(f128_results, "promo_f128"));
 }
 
 TEST(ReferenceTierCache, TiersUseDistinctKeysAndBothRoundTrip) {
@@ -461,20 +461,15 @@ TEST(ReferenceTierCache, TiersUseDistinctKeysAndBothRoundTrip) {
   TempDir dir("ddtier_cache");
   ReferenceCache cache(dir.path);
   const std::vector<FormatId> formats = {FormatId::float32};
-  SweepStats cold_stats, warm_stats;
-  ScheduleOptions cold;
-  cold.threads = 2;
-  cold.ref_cache = &cache;
-  cold.stats = &cold_stats;
-  const std::string cold_csv = csv_of(run_experiment(ds, formats, dd_cfg, cold), "cache_cold");
-  EXPECT_EQ(cold_stats.reference_dd_solves, ds.size());
+  const api::SweepResult cold = tier_sweep(ds, formats, dd_cfg, 2).cache(&cache).run();
+  const std::string cold_csv = csv_of(cold.results, "cache_cold");
+  EXPECT_EQ(cold.stats.reference_dd_solves, ds.size());
 
-  ScheduleOptions warm = cold;
-  warm.stats = &warm_stats;
-  const std::string warm_csv = csv_of(run_experiment(ds, formats, dd_cfg, warm), "cache_warm");
-  EXPECT_EQ(warm_stats.reference_solves, 0u);
-  EXPECT_EQ(warm_stats.reference_dd_solves, 0u);
-  EXPECT_EQ(warm_stats.reference_cache_hits, ds.size());
+  const api::SweepResult warm = tier_sweep(ds, formats, dd_cfg, 2).cache(&cache).run();
+  const std::string warm_csv = csv_of(warm.results, "cache_warm");
+  EXPECT_EQ(warm.stats.reference_solves, 0u);
+  EXPECT_EQ(warm.stats.reference_dd_solves, 0u);
+  EXPECT_EQ(warm.stats.reference_cache_hits, ds.size());
   EXPECT_EQ(cold_csv, warm_csv);
 }
 

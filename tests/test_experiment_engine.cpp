@@ -1,17 +1,17 @@
-// Task-parallel engine tests: thread-count invariance (bit-identical CSVs),
-// checkpoint journal round-trips, resume after a simulated crash, meta
-// validation, and reference-failure journaling. Cross-checks against the
-// legacy run_matrix path deliberately.
-#define MFLA_ALLOW_DEPRECATED
+// Task-parallel engine tests, driven through api::Sweep: thread-count
+// invariance (bit-identical CSVs against a sequential loop over the
+// per-matrix building blocks), checkpoint journal round-trips, resume after
+// a simulated crash, meta validation, and reference-failure journaling.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "api/sweep.hpp"
 #include "core/results_io.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -46,6 +46,41 @@ ExperimentConfig engine_config() {
   return cfg;
 }
 
+/// A sweep over `ds` with the engine formats, `cfg` and `threads` workers.
+api::Sweep engine_sweep(const std::vector<TestMatrix>& ds, const ExperimentConfig& cfg,
+                        std::size_t threads) {
+  api::Sweep s = api::Sweep::over(ds);
+  s.formats(engine_formats()).config(cfg).threads(threads);
+  return s;
+}
+
+/// The pipeline run sequentially on the calling thread with no engine:
+/// per matrix the seeded start vector, the tiered reference, then every
+/// format in list order.
+std::vector<MatrixResult> sequential_results(const std::vector<TestMatrix>& ds,
+                                             const std::vector<FormatId>& formats,
+                                             const ExperimentConfig& cfg) {
+  std::vector<MatrixResult> out;
+  for (const TestMatrix& tm : ds) {
+    MatrixResult res;
+    res.name = tm.name;
+    res.klass = tm.klass;
+    res.category = tm.category;
+    res.n = tm.n();
+    res.nnz = tm.nnz();
+    Rng rng(tm.name, cfg.seed);
+    const std::vector<double> start = rng.unit_vector(tm.n());
+    const ReferenceSolution ref = compute_reference_tiered(tm, cfg, start).solution;
+    res.reference_ok = ref.ok;
+    res.reference_failure = ref.failure;
+    if (ref.ok)
+      for (const FormatId id : formats)
+        res.runs.push_back(run_format_dynamic(tm, ref, cfg, start, id));
+    out.push_back(std::move(res));
+  }
+  return out;
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
@@ -67,17 +102,10 @@ TEST(ExperimentEngine, ThreadCountInvariantResults) {
   const auto formats = engine_formats();
   const auto cfg = engine_config();
 
-  ScheduleOptions serial;
-  serial.threads = 1;
-  ScheduleOptions parallel;
-  parallel.threads = 4;
-
-  const auto r1 = run_experiment(ds, formats, cfg, serial);
-  const auto r4 = run_experiment(ds, formats, cfg, parallel);
-  // Legacy per-matrix path must agree too.
-  std::vector<MatrixResult> expected;
-  expected.reserve(ds.size());
-  for (const auto& tm : ds) expected.push_back(run_matrix(tm, formats, cfg));
+  const auto r1 = engine_sweep(ds, cfg, 1).run().results;
+  const auto r4 = engine_sweep(ds, cfg, 4).run().results;
+  // The sequential per-matrix loop must agree too.
+  const auto expected = sequential_results(ds, formats, cfg);
 
   const std::string csv1 = csv_of(r1, "t1");
   EXPECT_FALSE(csv1.empty());
@@ -92,10 +120,7 @@ TEST(ExperimentEngine, JournalRoundTrip) {
   const std::string ck = "test_out/engine_journal.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const auto results = engine_sweep(ds, cfg, 2).checkpoint(ck).run().results;
   for (const auto& r : results) ASSERT_TRUE(r.reference_ok) << r.reference_failure;
 
   const JournalContents jc = read_journal(ck);
@@ -129,10 +154,8 @@ TEST(ExperimentEngine, ResumeAfterTruncationMatchesUninterruptedRun) {
   const std::string ck_cut = "test_out/engine_cut.jsonl";
   std::remove(ck_full.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck_full;
-  const std::string csv_full = csv_of(run_experiment(ds, formats, cfg, sched), "full");
+  const std::string csv_full =
+      csv_of(engine_sweep(ds, cfg, 2).checkpoint(ck_full).run().results, "full");
 
   // Simulate a crash: keep the meta line plus the first three completed
   // runs, then a torn final line from a write that was killed mid-flight.
@@ -144,24 +167,23 @@ TEST(ExperimentEngine, ResumeAfterTruncationMatchesUninterruptedRun) {
     out << "{\"type\":\"run\",\"matrix\":\"eng_";  // torn write, no newline
   }
 
-  ScheduleOptions resume;
-  resume.threads = 2;
-  resume.checkpoint_path = ck_cut;
-  resume.resume = true;
-  std::size_t resumed_total = 0;
-  resume.on_progress = [&resumed_total](const ExperimentProgress& p) { resumed_total = p.total; };
-  const std::string csv_resumed = csv_of(run_experiment(ds, formats, cfg, resume), "resumed");
+  auto resumed = std::make_shared<api::MemorySink>();
+  const std::string csv_resumed = csv_of(
+      engine_sweep(ds, cfg, 2).checkpoint(ck_cut).resume().sink(resumed).run().results,
+      "resumed");
 
   EXPECT_EQ(csv_full, csv_resumed);
   // Only the missing runs were scheduled (9 total, 3 were journaled).
-  EXPECT_EQ(resumed_total, ds.size() * formats.size() - 3);
+  const std::size_t missing = ds.size() * formats.size() - 3;
+  ASSERT_EQ(resumed->runs().size(), missing);
+  EXPECT_EQ(resumed->runs().back().total, missing);
   // The journal is now complete again: a second resume schedules nothing.
-  ScheduleOptions noop = resume;
-  bool progressed = false;
-  noop.on_progress = [&progressed](const ExperimentProgress&) { progressed = true; };
-  const std::string csv_noop = csv_of(run_experiment(ds, formats, cfg, noop), "noop");
+  auto noop = std::make_shared<api::MemorySink>();
+  const std::string csv_noop = csv_of(
+      engine_sweep(ds, cfg, 2).checkpoint(ck_cut).resume().sink(noop).run().results, "noop");
   EXPECT_EQ(csv_full, csv_noop);
-  EXPECT_FALSE(progressed);
+  EXPECT_TRUE(noop->runs().empty());
+  EXPECT_TRUE(noop->references().empty());
 
   std::remove(ck_full.c_str());
   std::remove(ck_cut.c_str());
@@ -178,53 +200,41 @@ TEST(ExperimentEngine, ResumeRestoresTornMetaLine) {
     std::ofstream out(ck, std::ios::trunc);
     out << "{\"type\":\"meta\",\"nev\"";  // torn, no newline
   }
-  ScheduleOptions resume;
-  resume.threads = 2;
-  resume.checkpoint_path = ck;
-  resume.resume = true;
-  (void)run_experiment(ds, formats, cfg, resume);
+  (void)engine_sweep(ds, cfg, 2).checkpoint(ck).resume().run();
   const JournalContents jc = read_journal(ck);
   EXPECT_TRUE(jc.has_meta);
   EXPECT_EQ(jc.meta, make_journal_meta(cfg, formats, ds.size()));
 
   ExperimentConfig other = cfg;
   other.nev = cfg.nev + 1;
-  EXPECT_THROW((void)run_experiment(ds, formats, other, resume), std::runtime_error);
+  EXPECT_THROW((void)engine_sweep(ds, other, 2).checkpoint(ck).resume().run(),
+               std::runtime_error);
   std::remove(ck.c_str());
 }
 
 TEST(ExperimentEngine, ResumeRejectsMismatchedMeta) {
   const auto ds = engine_dataset();
-  const auto formats = engine_formats();
   const auto cfg = engine_config();
   const std::string ck = "test_out/engine_meta.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 1;
-  sched.checkpoint_path = ck;
-  (void)run_experiment(ds, formats, cfg, sched);
+  (void)engine_sweep(ds, cfg, 1).checkpoint(ck).run();
 
   ExperimentConfig other = cfg;
   other.nev = cfg.nev + 1;
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  EXPECT_THROW((void)run_experiment(ds, formats, other, resume), std::runtime_error);
+  EXPECT_THROW((void)engine_sweep(ds, other, 1).checkpoint(ck).resume().run(),
+               std::runtime_error);
   std::remove(ck.c_str());
 }
 
 TEST(ExperimentEngine, ReferenceFailureJournaledAndSkippedOnResume) {
   const auto ds = engine_dataset();
-  const auto formats = engine_formats();
   ExperimentConfig cfg = engine_config();
   cfg.reference_max_restarts = 0;  // impossible budget: every reference fails
   const std::string ck = "test_out/engine_reffail.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const auto results = engine_sweep(ds, cfg, 2).checkpoint(ck).run().results;
   for (const auto& r : results) {
     EXPECT_FALSE(r.reference_ok);
     EXPECT_TRUE(r.runs.empty());
@@ -233,12 +243,12 @@ TEST(ExperimentEngine, ReferenceFailureJournaledAndSkippedOnResume) {
   EXPECT_EQ(jc.reference_failures.size(), ds.size());
   EXPECT_TRUE(jc.runs.empty());
 
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  bool progressed = false;
-  resume.on_progress = [&progressed](const ExperimentProgress&) { progressed = true; };
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
-  EXPECT_FALSE(progressed);  // failures were replayed, not recomputed
+  auto resumed_sink = std::make_shared<api::MemorySink>();
+  const auto resumed =
+      engine_sweep(ds, cfg, 2).checkpoint(ck).resume().sink(resumed_sink).run().results;
+  // Failures were replayed, not recomputed.
+  EXPECT_TRUE(resumed_sink->runs().empty());
+  EXPECT_TRUE(resumed_sink->references().empty());
   EXPECT_EQ(csv_of(results, "reffail_a"), csv_of(resumed, "reffail_b"));
   std::remove(ck.c_str());
 }
@@ -254,31 +264,24 @@ TEST(ExperimentEngine, FaultRunsJournaledAndReplayedOnResume) {
   std::remove(ck.c_str());
 
   failpoint::arm_from_spec("engine.format_run=error(eio)");
-  SweepStats stats;
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  sched.stats = &stats;
-  const auto results = run_experiment(ds, formats, cfg, sched);
+  const api::SweepResult faulted = engine_sweep(ds, cfg, 2).checkpoint(ck).run();
   failpoint::disarm_all();
-  EXPECT_EQ(stats.solve_faults, ds.size() * formats.size());
-  for (const auto& r : results)
+  EXPECT_EQ(faulted.stats.solve_faults, ds.size() * formats.size());
+  for (const auto& r : faulted.results)
     for (const auto& run : r.runs) EXPECT_EQ(run.outcome, RunOutcome::fault);
 
   const JournalContents jc = read_journal(ck);
   ASSERT_EQ(jc.runs.size(), ds.size() * formats.size());
   for (const auto& [key, jr] : jc.runs) EXPECT_EQ(jr.run.outcome, RunOutcome::fault);
 
-  SweepStats resume_stats;
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  resume.stats = &resume_stats;
-  bool progressed = false;
-  resume.on_progress = [&progressed](const ExperimentProgress&) { progressed = true; };
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
-  EXPECT_FALSE(progressed);  // everything replayed, nothing re-solved
-  EXPECT_EQ(resume_stats.journal_replayed_runs, ds.size() * formats.size());
-  EXPECT_EQ(csv_of(results, "fault_a"), csv_of(resumed, "fault_b"));
+  auto resumed_sink = std::make_shared<api::MemorySink>();
+  const api::SweepResult resumed =
+      engine_sweep(ds, cfg, 2).checkpoint(ck).resume().sink(resumed_sink).run();
+  // Everything replayed, nothing re-solved.
+  EXPECT_TRUE(resumed_sink->runs().empty());
+  EXPECT_TRUE(resumed_sink->references().empty());
+  EXPECT_EQ(resumed.stats.journal_replayed_runs, ds.size() * formats.size());
+  EXPECT_EQ(csv_of(faulted.results, "fault_a"), csv_of(resumed.results, "fault_b"));
   std::remove(ck.c_str());
 }
 
@@ -292,20 +295,18 @@ TEST(ExperimentEngine, ResumeRecomputesMatrixWhoseContentsChanged) {
   const std::string ck = "test_out/engine_stale.jsonl";
   std::remove(ck.c_str());
 
-  ScheduleOptions sched;
-  sched.threads = 2;
-  sched.checkpoint_path = ck;
-  (void)run_experiment(ds, formats, cfg, sched);
+  (void)engine_sweep(ds, cfg, 2).checkpoint(ck).run();
 
   Rng rng(3100);
   ds[0] = make_test_matrix(ds[0].name, ds[0].klass, ds[0].category,
                            graph_laplacian_pipeline(erdos_renyi(40, 0.18, rng)));
-  ScheduleOptions resume = sched;
-  resume.resume = true;
-  std::size_t total = 0;
-  resume.on_progress = [&total](const ExperimentProgress& p) { total = p.total; };
-  const auto resumed = run_experiment(ds, formats, cfg, resume);
-  EXPECT_EQ(total, formats.size());  // only the changed matrix was rerun
+  auto sink = std::make_shared<api::MemorySink>();
+  const auto resumed = engine_sweep(ds, cfg, 2).checkpoint(ck).resume().sink(sink).run().results;
+  // Only the changed matrix was rerun.
+  const auto runs = sink->runs();
+  ASSERT_EQ(runs.size(), formats.size());
+  EXPECT_EQ(runs.back().total, formats.size());
+  for (const auto& e : runs) EXPECT_EQ(e.matrix, ds[0].name);
   EXPECT_EQ(resumed[0].n, ds[0].n());
   std::remove(ck.c_str());
 }
@@ -313,11 +314,10 @@ TEST(ExperimentEngine, ResumeRecomputesMatrixWhoseContentsChanged) {
 TEST(ExperimentEngine, CheckpointRequiresUniqueMatrixNames) {
   auto ds = engine_dataset();
   ds.push_back(ds.front());  // duplicate name
-  ScheduleOptions sched;
-  sched.checkpoint_path = "test_out/engine_dup.jsonl";
-  EXPECT_THROW((void)run_experiment(ds, engine_formats(), engine_config(), sched),
+  const std::string ck = "test_out/engine_dup.jsonl";
+  EXPECT_THROW((void)engine_sweep(ds, engine_config(), 0).checkpoint(ck).run(),
                std::runtime_error);
-  std::remove(sched.checkpoint_path.c_str());
+  std::remove(ck.c_str());
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "api/sweep.hpp"
 #include "core/results_io.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -370,7 +370,7 @@ TEST(KernelAccel, ExperimentCsvByteIdenticalLutOnOff) {
 
   const auto run_to_csv = [&](bool lut_on, const std::string& tag) {
     LutGuard lut(lut_on);
-    const auto results = run_experiment(ds, formats, cfg, ScheduleOptions{});
+    const auto results = api::Sweep::over(ds).formats(formats).config(cfg).run().results;
     const std::string path = "test_out/kernel_accel_" + tag + ".csv";
     write_results_csv(path, results);
     std::string data = slurp(path);

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -89,6 +90,34 @@ TEST(ServeProtocol, MalformedRequestsAreRejectedWithAMessage) {
   EXPECT_TRUE(
       serve::parse_request("{\"type\":\"sweep\",\"future_knob\":\"on\"}", parsed, err))
       << err;
+}
+
+TEST(ServeProtocol, NumericFieldsAreBoundedLikeTheCli) {
+  const auto parse = [](const std::string& field, const std::string& value,
+                        serve::Request& parsed, std::string& err) {
+    return serve::parse_request("{\"type\":\"sweep\",\"" + field + "\":" + value + "}",
+                                parsed, err);
+  };
+  const std::pair<const char*, std::uint64_t> bounds[] = {{"count", serve::kMaxCount},
+                                                          {"nev", serve::kMaxNev},
+                                                          {"buffer", serve::kMaxBuffer},
+                                                          {"restarts", serve::kMaxRestarts}};
+  for (const auto& [field, max] : bounds) {
+    serve::Request parsed;
+    std::string err;
+    EXPECT_TRUE(parse(field, std::to_string(max), parsed, err)) << field << ": " << err;
+    EXPECT_FALSE(parse(field, std::to_string(max + 1), parsed, err)) << field;
+    EXPECT_NE(err.find(field), std::string::npos) << err;
+    EXPECT_NE(err.find("exceeds"), std::string::npos) << err;
+  }
+  serve::Request parsed;
+  std::string err;
+  ASSERT_TRUE(parse("restarts", std::to_string(serve::kMaxRestarts), parsed, err)) << err;
+  EXPECT_EQ(parsed.sweep.restarts, static_cast<int>(serve::kMaxRestarts));
+  // Values that used to wrap through the int cast: 2^32 + 1 (read as 1)
+  // and 2^31 (read as INT_MIN).
+  EXPECT_FALSE(parse("restarts", "4294967297", parsed, err));
+  EXPECT_FALSE(parse("restarts", "2147483648", parsed, err));
 }
 
 TEST(ServeProtocol, SweepIdHashesEveryResultAffectingField) {

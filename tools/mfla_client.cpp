@@ -104,13 +104,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--corpus") {
       req.corpus = next();
     } else if (arg == "--count") {
-      req.count = static_cast<std::size_t>(parse_uint("--count", next(), 1000000));
+      req.count = static_cast<std::size_t>(parse_uint("--count", next(), serve::kMaxCount));
     } else if (arg == "--nev") {
-      req.nev = static_cast<std::size_t>(parse_uint("--nev", next(), 10000));
+      req.nev = static_cast<std::size_t>(parse_uint("--nev", next(), serve::kMaxNev));
     } else if (arg == "--buffer") {
-      req.buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), 10000));
+      req.buffer = static_cast<std::size_t>(parse_uint("--buffer", next(), serve::kMaxBuffer));
     } else if (arg == "--restarts") {
-      req.restarts = static_cast<int>(parse_uint("--restarts", next(), 1000000));
+      req.restarts = static_cast<int>(parse_uint("--restarts", next(), serve::kMaxRestarts));
     } else if (arg == "--formats") {
       req.formats = next();
     } else if (arg == "--which") {

@@ -225,20 +225,17 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  // Assemble the dataset.
+  // Assemble the dataset. An unknown corpus name is a usage error.
   std::vector<TestMatrix> dataset;
-  try {
-    if (!corpus.empty()) {
-      if (corpus == "general") {
-        GeneralCorpusOptions opts;
-        opts.count = count;
-        dataset = build_general_corpus(opts);
-      } else {
-        GraphCorpusOptions opts;
-        opts.counts = {count, count, count, count};
-        dataset = build_graph_corpus(opts, corpus);
-      }
+  if (!corpus.empty()) {
+    try {
+      dataset = build_named_corpus(corpus, count);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "--corpus: %s\n", e.what());
+      return kExitUsage;
     }
+  }
+  try {
     for (const auto& path : files) {
       CooMatrix coo;
       if (ends_with(path, ".edges")) {
