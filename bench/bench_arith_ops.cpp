@@ -99,6 +99,9 @@ void BM_FromDouble(benchmark::State& state) {
   BENCHMARK_TEMPLATE(BM_FromDouble, T)
 
 MFLA_BENCH_FORMAT(OFP8E4M3);
+MFLA_BENCH_FORMAT(OFP8E5M2);
+MFLA_BENCH_FORMAT(Posit8);
+MFLA_BENCH_FORMAT(Takum8);
 MFLA_BENCH_FORMAT(Float16);
 MFLA_BENCH_FORMAT(BFloat16);
 MFLA_BENCH_FORMAT(Posit16);

@@ -1,18 +1,22 @@
-// Exact-engine vs LUT throughput of the kernel layer (kernels/accel.hpp)
-// per format and width: dot, axpy and sparse matvec for every accelerated
-// format. The acceptance bar is a >= 3x speedup of the LUT paths over the
-// exact engines on all three kernels for the four 8-bit formats.
+// Exact-engine vs table-backed throughput per format and width: dot, axpy
+// and sparse matvec for every table-backed format, plus one dense-restart
+// case (hessenberg_reduce + hessenberg_to_schur on a fixed 12x12 matrix)
+// for posit8, takum8, E4M3 and posit16.
 //
-// Exact timings use kernels::ref:: (always the exact engines); lut timings
-// force the table switch on. In an MFLA_ENABLE_LUT=0 build all series are
-// exact measurements.
+// The exact series runs each kernel on Exact<T> (arith/exact.hpp), whose
+// operators call T's exact engines by name (add_exact, mul_exact, ...);
+// the lut series runs the same kernel on T itself, whose operators read
+// the tables of arith/lut.hpp. In an MFLA_ENABLE_LUT=0 build both series
+// measure the exact engines.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "arith/exact.hpp"
+#include "dense/hessenberg.hpp"
+#include "dense/schur.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
-#include "kernels/accel.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
 #include "sparse/csr.hpp"
@@ -21,18 +25,6 @@
 namespace {
 
 using namespace mfla;
-
-enum class Mode { exact, lut };
-
-/// Force the runtime LUT switch for one benchmark run.
-class ModeGuard {
- public:
-  explicit ModeGuard(Mode m) : lut_prev_(kernels::set_lut_enabled(m == Mode::lut)) {}
-  ~ModeGuard() { kernels::set_lut_enabled(lut_prev_); }
-
- private:
-  bool lut_prev_;
-};
 
 template <typename T>
 std::vector<T> random_vec(std::size_t n, std::uint64_t seed) {
@@ -51,82 +43,91 @@ CsrMatrix<T> bench_matrix(std::size_t n) {
   return CsrMatrix<double>::from_coo(lap).convert<T>();
 }
 
-template <typename T, Mode kMode>
+template <typename T>
 void BM_Dot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto x = random_vec<T>(n, 1);
   const auto y = random_vec<T>(n, 2);
-  const ModeGuard guard(kMode);
-  for (auto _ : state) {
-    if constexpr (kMode == Mode::exact) {
-      benchmark::DoNotOptimize(kernels::ref::dot(n, x.data(), y.data()));
-    } else {
-      benchmark::DoNotOptimize(kernels::dot(n, x.data(), y.data()));
-    }
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(kernels::dot(n, x.data(), y.data()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 
-template <typename T, Mode kMode>
+template <typename T>
 void BM_Axpy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto x = random_vec<T>(n, 3);
   auto y = random_vec<T>(n, 4);
   const T alpha = NumTraits<T>::from_double(0.37);
-  const ModeGuard guard(kMode);
   for (auto _ : state) {
-    if constexpr (kMode == Mode::exact) {
-      kernels::ref::axpy(n, alpha, x.data(), y.data());
-    } else {
-      kernels::axpy(n, alpha, x.data(), y.data());
-    }
+    kernels::axpy(n, alpha, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 
-template <typename T, Mode kMode>
+template <typename T>
 void BM_SpMV(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = bench_matrix<T>(n);
   const auto x = random_vec<T>(a.cols(), 5);
   std::vector<T> y(a.rows());
-  const ModeGuard guard(kMode);
   for (auto _ : state) {
-    if constexpr (kMode == Mode::exact) {
-      kernels::ref::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(),
-                         x.data(), y.data());
-    } else {
-      // Through the matrix so the offset plan is in play — that is the
-      // path solvers run.
-      a.matvec(x.data(), y.data());
-    }
+    // Through the matrix so the 8-bit offset plan is in play — that is
+    // the path solvers run.
+    a.matvec(x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.nnz()));
 }
 
-#define MFLA_ACCEL_BENCH(T)                                                             \
-  BENCHMARK_TEMPLATE(BM_Dot, T, Mode::exact)->Name("Dot/exact/" #T)->Arg(4096);         \
-  BENCHMARK_TEMPLATE(BM_Dot, T, Mode::lut)->Name("Dot/lut/" #T)->Arg(4096);             \
-  BENCHMARK_TEMPLATE(BM_Axpy, T, Mode::exact)->Name("Axpy/exact/" #T)->Arg(4096);       \
-  BENCHMARK_TEMPLATE(BM_Axpy, T, Mode::lut)->Name("Axpy/lut/" #T)->Arg(4096);           \
-  BENCHMARK_TEMPLATE(BM_SpMV, T, Mode::exact)->Name("SpMV/exact/" #T)->Arg(512);        \
-  BENCHMARK_TEMPLATE(BM_SpMV, T, Mode::lut)->Name("SpMV/lut/" #T)->Arg(512)
+/// The dense restart's two big phases on a fixed non-symmetric matrix:
+/// Householder reduction to Hessenberg form, then the Francis QR sweeps.
+template <typename T>
+void BM_Restart(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng("bench_kernel_accel_restart", n);
+  DenseMatrix<T> a0(n, n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) a0(i, j) = NumTraits<T>::from_double(rng.normal());
+  for (auto _ : state) {
+    DenseMatrix<T> h = a0;
+    DenseMatrix<T> q = DenseMatrix<T>::identity(n);
+    benchmark::DoNotOptimize(hessenberg_reduce(h, q));
+    benchmark::DoNotOptimize(hessenberg_to_schur(h, q).ok);
+  }
+}
 
-// The four 8-bit formats (acceptance: >= 3x lut-over-exact on
-// dot/axpy/spmv for all).
+#define MFLA_ACCEL_BENCH(T)                                                            \
+  BENCHMARK_TEMPLATE(BM_Dot, Exact<T>)->Name("Dot/exact/" #T)->Arg(4096);              \
+  BENCHMARK_TEMPLATE(BM_Dot, T)->Name("Dot/lut/" #T)->Arg(4096);                       \
+  BENCHMARK_TEMPLATE(BM_Axpy, Exact<T>)->Name("Axpy/exact/" #T)->Arg(4096);            \
+  BENCHMARK_TEMPLATE(BM_Axpy, T)->Name("Axpy/lut/" #T)->Arg(4096);                     \
+  BENCHMARK_TEMPLATE(BM_SpMV, Exact<T>)->Name("SpMV/exact/" #T)->Arg(512);             \
+  BENCHMARK_TEMPLATE(BM_SpMV, T)->Name("SpMV/lut/" #T)->Arg(512)
+
+#define MFLA_RESTART_BENCH(T)                                                          \
+  BENCHMARK_TEMPLATE(BM_Restart, Exact<T>)->Name("Restart/exact/" #T)->Arg(12);        \
+  BENCHMARK_TEMPLATE(BM_Restart, T)->Name("Restart/lut/" #T)->Arg(12)
+
+// The four 8-bit formats (full result tables).
 MFLA_ACCEL_BENCH(OFP8E4M3);
 MFLA_ACCEL_BENCH(OFP8E5M2);
 MFLA_ACCEL_BENCH(Posit8);
 MFLA_ACCEL_BENCH(Takum8);
-// The four 16-bit formats (decode-table paths).
+// The four 16-bit formats (decode tables).
 MFLA_ACCEL_BENCH(Float16);
 MFLA_ACCEL_BENCH(BFloat16);
 MFLA_ACCEL_BENCH(Posit16);
 MFLA_ACCEL_BENCH(Takum16);
+// The dense restart, which the kernel tier alone never reached.
+MFLA_RESTART_BENCH(Posit8);
+MFLA_RESTART_BENCH(Takum8);
+MFLA_RESTART_BENCH(OFP8E4M3);
+MFLA_RESTART_BENCH(Posit16);
 
 }  // namespace

@@ -2,8 +2,9 @@
 // float128 reference stage with and without the persistent cache.
 //
 // A plain executable (no Google Benchmark dependency): it runs the real
-// api::Sweep engine twice against the same cache directory and reports
-// the reference-stage wall-clock of each pass plus the speedup, as JSON.
+// api::Sweep engine twice against the same cache directory, on one worker
+// thread, and reports the reference-stage wall-clock of each pass plus the
+// speedup, as JSON.
 // The warm pass must execute zero float128 solves — that, and the >=10x
 // reference-stage speedup on this corpus, are the cache's acceptance bar
 // and are printed in the JSON the CI bench job archives.
@@ -22,6 +23,11 @@ namespace {
 
 using namespace mfla;
 
+// The gated *_seconds sum wall-clock time over reference solves, which
+// grows with the number of solves running at once; one worker thread keeps
+// them comparable across hosts with any core count.
+constexpr std::size_t kThreads = 1;
+
 double scale_from_env() {
   const char* s = std::getenv("MFLA_BENCH_SCALE");
   if (s == nullptr) return 1.0;
@@ -36,8 +42,12 @@ struct PassResult {
 
 PassResult run_pass(const std::vector<TestMatrix>& dataset, const std::vector<FormatId>& formats,
                     const ExperimentConfig& cfg, ReferenceCache* cache) {
-  const api::SweepResult sweep =
-      api::Sweep::over(dataset).formats(formats).config(cfg).cache(cache).run();
+  const api::SweepResult sweep = api::Sweep::over(dataset)
+                                     .formats(formats)
+                                     .config(cfg)
+                                     .cache(cache)
+                                     .threads(kThreads)
+                                     .run();
   PassResult pr;
   pr.total_seconds = sweep.elapsed_seconds;
   pr.stats = sweep.stats;
@@ -97,6 +107,7 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n"
                "  \"benchmark\": \"reference_cache\",\n"
+               "  \"threads\": %zu,\n"
                "  \"matrices\": %zu,\n"
                "  \"formats\": %zu,\n"
                "  \"cold\": {\n"
@@ -114,7 +125,7 @@ int main(int argc, char** argv) {
                "  \"reference_stage_speedup\": %.2f,\n"
                "  \"total_speedup\": %.2f\n"
                "}\n",
-               dataset.size(), formats.size(), cold.total_seconds, cold_ref_stage,
+               kThreads, dataset.size(), formats.size(), cold.total_seconds, cold_ref_stage,
                cold.stats.reference_solves, cold.stats.reference_cache_hits, warm.total_seconds,
                warm_ref_stage, warm.stats.reference_solves, warm.stats.reference_cache_hits,
                ref_speedup,

@@ -4,8 +4,8 @@
 // rate, as JSON.
 //
 // A plain executable (no Google Benchmark dependency) running the real
-// api::Sweep engine with no reference cache, so every reference solve
-// is executed in the tier under test. The corpus is well-conditioned
+// api::Sweep engine on one worker thread with no reference cache, so every
+// reference solve is executed in the tier under test. The corpus is well-conditioned
 // graph Laplacians on which the dd certification bound holds, so the
 // acceptance bar is: zero promotions and a >=2x reference-stage speedup
 // from hardware double-double over soft binary128. Both are printed in
@@ -24,6 +24,11 @@ namespace {
 
 using namespace mfla;
 
+// The gated *_seconds sum wall-clock time over reference solves, which
+// grows with the number of solves running at once; one worker thread keeps
+// them comparable across hosts with any core count.
+constexpr std::size_t kThreads = 1;
+
 double scale_from_env() {
   const char* s = std::getenv("MFLA_BENCH_SCALE");
   if (s == nullptr) return 1.0;
@@ -38,7 +43,8 @@ struct PassResult {
 
 PassResult run_pass(const std::vector<TestMatrix>& dataset, const std::vector<FormatId>& formats,
                     const ExperimentConfig& cfg) {
-  const api::SweepResult sweep = api::Sweep::over(dataset).formats(formats).config(cfg).run();
+  const api::SweepResult sweep =
+      api::Sweep::over(dataset).formats(formats).config(cfg).threads(kThreads).run();
   PassResult pr;
   pr.total_seconds = sweep.elapsed_seconds;
   pr.stats = sweep.stats;
@@ -99,6 +105,7 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n"
                "  \"benchmark\": \"reference_tier\",\n"
+               "  \"threads\": %zu,\n"
                "  \"matrices\": %zu,\n"
                "  \"formats\": %zu,\n"
                "  \"f128_only\": {\n"
@@ -118,7 +125,7 @@ int main(int argc, char** argv) {
                "  \"promotion_rate\": %.4f,\n"
                "  \"reference_stage_speedup\": %.2f\n"
                "}\n",
-               dataset.size(), formats.size(), f128.total_seconds, f128_ref_stage,
+               kThreads, dataset.size(), formats.size(), f128.total_seconds, f128_ref_stage,
                f128.stats.reference_solves, dd.total_seconds, dd_ref_stage,
                dd.stats.reference_dd_solves, dd.stats.reference_dd_certified,
                dd.stats.reference_promotions, dd.stats.reference_dd_seconds,

@@ -10,19 +10,23 @@
 //                         numbers except S.1111.111 which is NaN. Overflow
 //                         converts to NaN (OCP non-saturating mode).
 //
-// Arithmetic is performed by converting to double, computing, and rounding
-// back with round-to-nearest-even. Because 2*M + 2 <= 53 for every format
-// instantiated here (M <= 10), the double rounding is provably innocuous,
-// i.e. every operation is correctly rounded.
+// The exact engine (add_exact, ..., to_double_exact) converts to double,
+// computes, and rounds back with round-to-nearest-even. Because
+// 2*M + 2 <= 53 for every format instantiated here (M <= 10), the double
+// rounding is provably innocuous, i.e. every operation is correctly
+// rounded. The operators of the 8- and 16-bit formats read the tables of
+// arith/lut.hpp, which hold the exact engine's results.
 #pragma once
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string_view>
 #include <type_traits>
 
+#include "arith/lut.hpp"
 #include "support/int128.hpp"
 
 namespace mfla {
@@ -141,9 +145,16 @@ class SoftFloat {
     return from_bits(static_cast<Storage>(round_shift(sig, shift) | sign));
   }
 
+  /// The value as a double: one table load for 8- and 16-bit formats.
+  [[nodiscard]] double to_double() const noexcept {
+    if constexpr (kLut8) return Lut8<SoftFloat>::instance().decode(bits_);
+    else if constexpr (kDec16) return Dec16<SoftFloat>::instance().decode(bits_);
+    else return to_double_exact();
+  }
+
   /// Builds the double's bits directly: a normal encoding is rebiased with
   /// one shift and one add; a subnormal one is scaled by an exact power of two.
-  [[nodiscard]] constexpr double to_double() const noexcept {
+  [[nodiscard]] constexpr double to_double_exact() const noexcept {
     const Storage mag = bits_ & mask(E + M);
     const std::uint64_t sign = static_cast<std::uint64_t>(signbit()) << 63;
     if (mag >= (Storage{1} << M)) {
@@ -161,29 +172,51 @@ class SoftFloat {
     return sign ? -v : v;
   }
 
-  explicit constexpr operator double() const noexcept { return to_double(); }
-  explicit constexpr operator float() const noexcept { return static_cast<float>(to_double()); }
+  explicit operator double() const noexcept { return to_double(); }
+  explicit operator float() const noexcept { return static_cast<float>(to_double()); }
 
-  // -- Arithmetic (correctly rounded via double) ---------------------------
-  friend constexpr SoftFloat operator+(SoftFloat a, SoftFloat b) noexcept {
-    return from_double(a.to_double() + b.to_double());
+  // -- Arithmetic (correctly rounded) --------------------------------------
+  // The exact engine, by name: the table builders and tests call these.
+  [[nodiscard]] static constexpr SoftFloat add_exact(SoftFloat a, SoftFloat b) noexcept {
+    return binary<true>(a, b, std::plus<>{});
   }
-  friend constexpr SoftFloat operator-(SoftFloat a, SoftFloat b) noexcept {
-    return from_double(a.to_double() - b.to_double());
+  [[nodiscard]] static constexpr SoftFloat sub_exact(SoftFloat a, SoftFloat b) noexcept {
+    return binary<true>(a, b, std::minus<>{});
   }
-  friend constexpr SoftFloat operator*(SoftFloat a, SoftFloat b) noexcept {
-    return from_double(a.to_double() * b.to_double());
+  [[nodiscard]] static constexpr SoftFloat mul_exact(SoftFloat a, SoftFloat b) noexcept {
+    return binary<true>(a, b, std::multiplies<>{});
   }
-  friend constexpr SoftFloat operator/(SoftFloat a, SoftFloat b) noexcept {
-    return from_double(a.to_double() / b.to_double());
+  [[nodiscard]] static constexpr SoftFloat div_exact(SoftFloat a, SoftFloat b) noexcept {
+    return binary<true>(a, b, std::divides<>{});
+  }
+  [[nodiscard]] static SoftFloat sqrt_exact(SoftFloat a) noexcept {
+    return from_double(std::sqrt(a.to_double_exact()));
+  }
+
+  // The operators: table loads at 8 bits, table decodes at 16 bits.
+  friend SoftFloat operator+(SoftFloat a, SoftFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<SoftFloat>::instance().add(a, b);
+    else return binary<false>(a, b, std::plus<>{});
+  }
+  friend SoftFloat operator-(SoftFloat a, SoftFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<SoftFloat>::instance().add(a, negate(b));
+    else return binary<false>(a, b, std::minus<>{});
+  }
+  friend SoftFloat operator*(SoftFloat a, SoftFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<SoftFloat>::instance().mul(a, b);
+    else return binary<false>(a, b, std::multiplies<>{});
+  }
+  friend SoftFloat operator/(SoftFloat a, SoftFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<SoftFloat>::instance().div(a, b);
+    else return binary<false>(a, b, std::divides<>{});
   }
   friend constexpr SoftFloat operator-(SoftFloat a) noexcept { return negate(a); }
   friend constexpr SoftFloat operator+(SoftFloat a) noexcept { return a; }
 
-  constexpr SoftFloat& operator+=(SoftFloat o) noexcept { return *this = *this + o; }
-  constexpr SoftFloat& operator-=(SoftFloat o) noexcept { return *this = *this - o; }
-  constexpr SoftFloat& operator*=(SoftFloat o) noexcept { return *this = *this * o; }
-  constexpr SoftFloat& operator/=(SoftFloat o) noexcept { return *this = *this / o; }
+  SoftFloat& operator+=(SoftFloat o) noexcept { return *this = *this + o; }
+  SoftFloat& operator-=(SoftFloat o) noexcept { return *this = *this - o; }
+  SoftFloat& operator*=(SoftFloat o) noexcept { return *this = *this * o; }
+  SoftFloat& operator/=(SoftFloat o) noexcept { return *this = *this / o; }
 
   // -- Comparisons (IEEE semantics: NaN unordered) -------------------------
   friend constexpr bool operator==(SoftFloat a, SoftFloat b) noexcept {
@@ -193,7 +226,7 @@ class SoftFloat {
   }
   friend constexpr bool operator!=(SoftFloat a, SoftFloat b) noexcept { return !(a == b); }
   friend constexpr bool operator<(SoftFloat a, SoftFloat b) noexcept {
-    return a.to_double() < b.to_double();
+    return a.to_double_exact() < b.to_double_exact();
   }
   friend constexpr bool operator>(SoftFloat a, SoftFloat b) noexcept { return b < a; }
   friend constexpr bool operator<=(SoftFloat a, SoftFloat b) noexcept {
@@ -209,6 +242,21 @@ class SoftFloat {
   }
 
  private:
+  static constexpr bool kLut8 = lut8_width(kBits);
+  static constexpr bool kDec16 = dec16_width(kBits);
+
+  /// a op b in double, rounded once. Behind the 16-bit operators both
+  /// operands decode from one fetch of the Dec16 table.
+  template <bool kExact, class Op>
+  [[nodiscard]] static constexpr SoftFloat binary(SoftFloat a, SoftFloat b, Op op) noexcept {
+    if constexpr (kExact || !kDec16) {
+      return from_double(op(a.to_double_exact(), b.to_double_exact()));
+    } else {
+      const auto& t = Dec16<SoftFloat>::instance();
+      return from_double(op(t.decode(a.bits_), t.decode(b.bits_)));
+    }
+  }
+
   // Offset between the double's biased exponent field and this format's,
   // in place at bit 52 (1023 - kBias > 0 for E <= 8).
   static constexpr std::uint64_t kRebias = static_cast<std::uint64_t>(1023 - kBias) << 52;
@@ -248,8 +296,10 @@ template <int E, int M, Flavor F>
 }
 template <int E, int M, Flavor F>
 [[nodiscard]] inline SoftFloat<E, M, F> sqrt(SoftFloat<E, M, F> x) noexcept {
+  using T = SoftFloat<E, M, F>;
   // Correctly rounded: sqrt in double then one rounding to M <= 10 bits.
-  return SoftFloat<E, M, F>::from_double(std::sqrt(x.to_double()));
+  if constexpr (lut8_width(T::kBits)) return Lut8<T>::instance().sqrt(x);
+  else return T::from_double(std::sqrt(x.to_double()));
 }
 template <int E, int M, Flavor F>
 [[nodiscard]] constexpr bool is_number(SoftFloat<E, M, F> x) noexcept {

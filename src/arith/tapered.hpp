@@ -15,13 +15,19 @@
 // guard/sticky information, and re-encodes with a single correct rounding
 // (the codec's closed-form encode_positive, built on encode_stream below).
 // There is no intermediate float anywhere, so results are bit-exact
-// regardless of host rounding modes.
+// regardless of host rounding modes. The engine is reachable by name
+// (add_exact, ..., unpack_exact); the operators of the 8-bit formats read
+// its results from tables, and the 16-bit formats decode through tables
+// (arith/lut.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <type_traits>
+#include <utility>
 
+#include "arith/lut.hpp"
 #include "support/floatbits.hpp"
 #include "support/int128.hpp"
 
@@ -137,18 +143,31 @@ class TaperedFloat {
     return make(p.neg, e, m, false, false);
   }
 
+  /// The value as a double: one table load for 8- and 16-bit formats.
   [[nodiscard]] double to_double() const noexcept {
+    if constexpr (kLut8) return Lut8<TaperedFloat>::instance().decode(bits_);
+    else if constexpr (kDec16) return Dec16<TaperedFloat>::instance().decode(bits_);
+    else return to_double_exact();
+  }
+
+  [[nodiscard]] double to_double_exact() const noexcept {
     if (is_nar()) return __builtin_nan("");
     if (is_zero()) return 0.0;
-    const Unpacked u = unpack();
+    const Unpacked u = unpack_exact();
     return compose_double(u.neg, u.m, u.e - 63);
   }
 
   explicit operator double() const noexcept { return to_double(); }
   explicit operator float() const noexcept { return static_cast<float>(to_double()); }
 
-  /// Decode to sign/exponent/significand (finite non-zero values only).
+  /// Decode to sign/exponent/significand (finite non-zero values only): one
+  /// table load for 16-bit formats.
   [[nodiscard]] Unpacked unpack() const noexcept {
+    if constexpr (kDec16) return Dec16<TaperedFloat>::instance().unpacked(bits_);
+    else return unpack_exact();
+  }
+
+  [[nodiscard]] Unpacked unpack_exact() const noexcept {
     std::uint64_t p = bits_;
     bool neg = false;
     if ((p >> (kBits - 1)) & 1) {
@@ -161,28 +180,42 @@ class TaperedFloat {
   }
 
   // -- Arithmetic ----------------------------------------------------------
-  friend TaperedFloat operator+(TaperedFloat a, TaperedFloat b) noexcept { return add(a, b, false); }
-  friend TaperedFloat operator-(TaperedFloat a, TaperedFloat b) noexcept { return add(a, b, true); }
-
-  friend TaperedFloat operator*(TaperedFloat a, TaperedFloat b) noexcept {
-    if (a.is_nar() || b.is_nar()) return nar();
-    if (a.is_zero() || b.is_zero()) return zero();
-    return mul_unpacked(a.unpack(), b.unpack());
+  // The exact engine, by name: the table builders and tests call these.
+  [[nodiscard]] static TaperedFloat add_exact(TaperedFloat a, TaperedFloat b) noexcept {
+    return add<true>(a, b);
   }
+  [[nodiscard]] static TaperedFloat sub_exact(TaperedFloat a, TaperedFloat b) noexcept {
+    return add<true>(a, -b);
+  }
+  [[nodiscard]] static TaperedFloat mul_exact(TaperedFloat a, TaperedFloat b) noexcept {
+    return mul<true>(a, b);
+  }
+  [[nodiscard]] static TaperedFloat div_exact(TaperedFloat a, TaperedFloat b) noexcept {
+    return div<true>(a, b);
+  }
+  [[nodiscard]] static TaperedFloat sqrt_exact(TaperedFloat a) noexcept { return root<true>(a); }
 
+  // The operators: table loads at 8 bits, the engine over table decodes at
+  // 16 bits, the engine itself otherwise.
+  friend TaperedFloat operator+(TaperedFloat a, TaperedFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<TaperedFloat>::instance().add(a, b);
+    else return add<false>(a, b);
+  }
+  friend TaperedFloat operator-(TaperedFloat a, TaperedFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<TaperedFloat>::instance().add(a, -b);
+    else return add<false>(a, -b);
+  }
+  friend TaperedFloat operator*(TaperedFloat a, TaperedFloat b) noexcept {
+    if constexpr (kLut8) return Lut8<TaperedFloat>::instance().mul(a, b);
+    else return mul<false>(a, b);
+  }
   friend TaperedFloat operator/(TaperedFloat a, TaperedFloat b) noexcept {
-    if (a.is_nar() || b.is_nar() || b.is_zero()) return nar();
-    if (a.is_zero()) return zero();
-    const Unpacked x = a.unpack(), y = b.unpack();
-    const u128 num = static_cast<u128>(x.m) << 64;
-    u128 q = num / y.m;  // in (2^63, 2^65)
-    const u128 rem = num % y.m;
-    const int t = 127 - clz_u128(q);
-    q <<= (127 - t);
-    const auto m = static_cast<std::uint64_t>(q >> 64);
-    const bool g = (static_cast<std::uint64_t>(q) >> 63) & 1;
-    const bool s = ((static_cast<std::uint64_t>(q) & ((1ull << 63) - 1)) != 0) || rem != 0;
-    return make(x.neg != y.neg, x.e - y.e - 64 + t, m, g, s);
+    if constexpr (kLut8) return Lut8<TaperedFloat>::instance().div(a, b);
+    else return div<false>(a, b);
+  }
+  [[nodiscard]] friend TaperedFloat sqrt(TaperedFloat a) noexcept {
+    if constexpr (kLut8) return Lut8<TaperedFloat>::instance().sqrt(a);
+    else return root<false>(a);
   }
 
   friend TaperedFloat operator-(TaperedFloat a) noexcept {
@@ -195,71 +228,8 @@ class TaperedFloat {
   TaperedFloat& operator*=(TaperedFloat o) noexcept { return *this = *this * o; }
   TaperedFloat& operator/=(TaperedFloat o) noexcept { return *this = *this / o; }
 
-  [[nodiscard]] friend TaperedFloat sqrt(TaperedFloat a) noexcept {
-    if (a.is_nar() || a.is_zero()) return a;
-    if (a.is_negative()) return nar();
-    Unpacked x = a.unpack();
-    u128 mm = x.m;
-    int e = x.e;
-    if (e & 1) {  // works for negative odd e too: (e & 1) == 1
-      mm <<= 1;
-      e -= 1;
-    }
-    const u128 n = mm << 63;
-    const std::uint64_t s = isqrt_u128(n);
-    const u128 rem = n - static_cast<u128>(s) * s;
-    return make(false, e / 2, s, false, rem != 0);
-  }
-
   [[nodiscard]] friend TaperedFloat abs(TaperedFloat a) noexcept {
     return a.is_negative() ? -a : a;
-  }
-
-  // -- Unpacked-operand cores ----------------------------------------------
-  // The arithmetic engines behind operator+/operator*, taking already
-  // decoded operands. Callers must have handled zero/NaR beforehand. The
-  // kernel layer's 16-bit fast path (kernels/accel.hpp) feeds these from a
-  // precomputed 65536-entry Unpacked table, so the fast path shares every
-  // instruction of the exact engine except the decode bit-twiddling.
-
-  /// Exact sum of two finite non-zero values (handles either sign).
-  [[nodiscard]] static TaperedFloat add_unpacked(Unpacked x, Unpacked y) noexcept {
-    if (x.e < y.e || (x.e == y.e && x.m < y.m)) {
-      const Unpacked t = x;
-      x = y;
-      y = t;
-    }
-    const bool effective_sub = x.neg != y.neg;
-    const u128 big = static_cast<u128>(x.m) << 63;  // headroom bit 127 free
-    bool sticky = false;
-    const u128 small = shift_right_sticky(static_cast<u128>(y.m) << 63, x.e - y.e, sticky);
-    u128 r;
-    if (!effective_sub) {
-      r = big + small;
-    } else {
-      r = big - small;
-      // With a sticky tail the true result is strictly below r: borrow one
-      // ulp so guard/sticky classification stays exact.
-      if (sticky) r -= 1;
-      if (r == 0) return zero();
-    }
-    const int t = 127 - clz_u128(r);
-    r <<= (127 - t);
-    const auto m = static_cast<std::uint64_t>(r >> 64);
-    const bool g = (static_cast<std::uint64_t>(r) >> 63) & 1;
-    const bool s = sticky || (static_cast<std::uint64_t>(r) & ((1ull << 63) - 1)) != 0;
-    return make(x.neg, x.e - 126 + t, m, g, s);
-  }
-
-  /// Exact product of two finite non-zero values.
-  [[nodiscard]] static TaperedFloat mul_unpacked(const Unpacked& x, const Unpacked& y) noexcept {
-    u128 prod = static_cast<u128>(x.m) * y.m;  // in [2^126, 2^128)
-    const int t = 127 - clz_u128(prod);
-    prod <<= (127 - t);
-    const auto m = static_cast<std::uint64_t>(prod >> 64);
-    const bool g = (static_cast<std::uint64_t>(prod) >> 63) & 1;
-    const bool s = (static_cast<std::uint64_t>(prod) & ((1ull << 63) - 1)) != 0;
-    return make(x.neg != y.neg, x.e + y.e - 126 + t, m, g, s);
   }
 
   // -- Comparisons: total order via the signed encoding (NaR is smallest) --
@@ -291,13 +261,98 @@ class TaperedFloat {
     return from_bits(static_cast<Storage>((~payload + 1) & kMask));
   }
 
-  /// Shared addition/subtraction entry: special cases, then the exact core.
-  [[nodiscard]] static TaperedFloat add(TaperedFloat a, TaperedFloat b, bool negate_b) noexcept {
+  static constexpr bool kLut8 = lut8_width(kBits);
+  static constexpr bool kDec16 = dec16_width(kBits);
+
+  /// The operand decode of the exact cores: unpack_exact() inside the
+  /// engine by name; behind the 16-bit operators, both operands from one
+  /// fetch of the Dec16 table.
+  template <bool kExact>
+  [[nodiscard]] static std::array<Unpacked, 2> decode(TaperedFloat a, TaperedFloat b) noexcept {
+    if constexpr (kExact || !kDec16) {
+      return {a.unpack_exact(), b.unpack_exact()};
+    } else {
+      const auto& t = Dec16<TaperedFloat>::instance();
+      return {t.unpacked(a.bits_), t.unpacked(b.bits_)};
+    }
+  }
+
+  // The exact cores: special cases, then the exact result of the finite
+  // non-zero operands, rounded once.
+  template <bool kExact>
+  [[nodiscard]] static TaperedFloat add(TaperedFloat a, TaperedFloat b) noexcept {
     if (a.is_nar() || b.is_nar()) return nar();
-    if (negate_b) b = -b;
     if (a.is_zero()) return b;
     if (b.is_zero()) return a;
-    return add_unpacked(a.unpack(), b.unpack());
+    auto [x, y] = decode<kExact>(a, b);
+    if (x.e < y.e || (x.e == y.e && x.m < y.m)) std::swap(x, y);
+    const bool effective_sub = x.neg != y.neg;
+    const u128 big = static_cast<u128>(x.m) << 63;  // headroom bit 127 free
+    bool sticky = false;
+    const u128 small = shift_right_sticky(static_cast<u128>(y.m) << 63, x.e - y.e, sticky);
+    u128 r;
+    if (!effective_sub) {
+      r = big + small;
+    } else {
+      r = big - small;
+      // With a sticky tail the true result is strictly below r: borrow one
+      // ulp so guard/sticky classification stays exact.
+      if (sticky) r -= 1;
+      if (r == 0) return zero();
+    }
+    const int t = 127 - clz_u128(r);
+    r <<= (127 - t);
+    const auto m = static_cast<std::uint64_t>(r >> 64);
+    const bool g = (static_cast<std::uint64_t>(r) >> 63) & 1;
+    const bool s = sticky || (static_cast<std::uint64_t>(r) & ((1ull << 63) - 1)) != 0;
+    return make(x.neg, x.e - 126 + t, m, g, s);
+  }
+
+  template <bool kExact>
+  [[nodiscard]] static TaperedFloat mul(TaperedFloat a, TaperedFloat b) noexcept {
+    if (a.is_nar() || b.is_nar()) return nar();
+    if (a.is_zero() || b.is_zero()) return zero();
+    const auto [x, y] = decode<kExact>(a, b);
+    u128 prod = static_cast<u128>(x.m) * y.m;  // in [2^126, 2^128)
+    const int t = 127 - clz_u128(prod);
+    prod <<= (127 - t);
+    const auto m = static_cast<std::uint64_t>(prod >> 64);
+    const bool g = (static_cast<std::uint64_t>(prod) >> 63) & 1;
+    const bool s = (static_cast<std::uint64_t>(prod) & ((1ull << 63) - 1)) != 0;
+    return make(x.neg != y.neg, x.e + y.e - 126 + t, m, g, s);
+  }
+
+  template <bool kExact>
+  [[nodiscard]] static TaperedFloat div(TaperedFloat a, TaperedFloat b) noexcept {
+    if (a.is_nar() || b.is_nar() || b.is_zero()) return nar();
+    if (a.is_zero()) return zero();
+    const auto [x, y] = decode<kExact>(a, b);
+    const u128 num = static_cast<u128>(x.m) << 64;
+    u128 q = num / y.m;  // in (2^63, 2^65)
+    const u128 rem = num % y.m;
+    const int t = 127 - clz_u128(q);
+    q <<= (127 - t);
+    const auto m = static_cast<std::uint64_t>(q >> 64);
+    const bool g = (static_cast<std::uint64_t>(q) >> 63) & 1;
+    const bool s = ((static_cast<std::uint64_t>(q) & ((1ull << 63) - 1)) != 0) || rem != 0;
+    return make(x.neg != y.neg, x.e - y.e - 64 + t, m, g, s);
+  }
+
+  template <bool kExact>
+  [[nodiscard]] static TaperedFloat root(TaperedFloat a) noexcept {
+    if (a.is_nar() || a.is_zero()) return a;
+    if (a.is_negative()) return nar();
+    const Unpacked x = kExact ? a.unpack_exact() : a.unpack();
+    u128 mm = x.m;
+    int e = x.e;
+    if (e & 1) {  // works for negative odd e too: (e & 1) == 1
+      mm <<= 1;
+      e -= 1;
+    }
+    const u128 n = mm << 63;
+    const std::uint64_t s = isqrt_u128(n);
+    const u128 rem = n - static_cast<u128>(s) * s;
+    return make(false, e / 2, s, false, rem != 0);
   }
 
   Storage bits_;

@@ -140,11 +140,9 @@ struct NumTraits<Takum<N>> {
 // ScalarCodec<T>: uniform bit-level codec surface for the emulated formats.
 //
 // Where NumTraits<T> speaks in values, ScalarCodec<T> speaks in encodings:
-// bits <-> T, bits <-> double, and (for tapered formats) bits <-> Unpacked.
-// The exact engines (SoftFloat, TaperedFloat) implement these operations;
-// ScalarCodec exposes them uniformly so the kernel layer's LUT builders
-// (kernels/accel.hpp) and the exhaustive bit-identity tests can enumerate
-// and decode every encoding of a format without knowing its family.
+// the storage width and bits <-> T. The bit-domain kernels (the planned
+// 8-bit SpMV, kernels/spmv.hpp) and the exhaustive bit-identity tests use
+// it to enumerate and compare encodings without knowing a format's family.
 // Native float/double/Quad have no codec: they take the plain kernel paths.
 // ---------------------------------------------------------------------------
 
@@ -161,12 +159,6 @@ struct ScalarCodec<SoftFloat<E, M, F>> {
   [[nodiscard]] static constexpr Scalar from_bits(Storage b) noexcept {
     return Scalar::from_bits(b);
   }
-  [[nodiscard]] static constexpr double bits_to_double(Storage b) noexcept {
-    return Scalar::from_bits(b).to_double();
-  }
-  [[nodiscard]] static constexpr Storage bits_from_double(double d) noexcept {
-    return Scalar::from_double(d).bits();
-  }
 };
 
 template <class Codec>
@@ -179,25 +171,13 @@ struct ScalarCodec<TaperedFloat<Codec>> {
   [[nodiscard]] static constexpr Scalar from_bits(Storage b) noexcept {
     return Scalar::from_bits(b);
   }
-  [[nodiscard]] static double bits_to_double(Storage b) noexcept {
-    return Scalar::from_bits(b).to_double();
-  }
-  [[nodiscard]] static Storage bits_from_double(double d) noexcept {
-    return Scalar::from_double(d).bits();
-  }
-  /// Decode an encoding to (sign, exponent, significand). Meaningful for
-  /// finite non-zero patterns; zero/NaR must be special-cased by the caller
-  /// (as the exact engine itself does).
-  [[nodiscard]] static Unpacked bits_to_unpacked(Storage b) noexcept {
-    return Scalar::from_bits(b).unpack();
-  }
 };
 
 /// dd's codec speaks in the packed bit patterns of its two components
-/// (hi in the upper 64 bits). The kernel accelerator ignores it (128-bit
-/// encodings are far beyond table range — accel_kind yields none); it
-/// exists so codec-keyed dispatch, the reference-tier cache keying and the
-/// round-trip tests can treat dd uniformly with the other emulated formats.
+/// (hi in the upper 64 bits). No table tier covers it (128-bit encodings
+/// are far beyond table range — accel_kind yields none); it exists so
+/// codec-keyed dispatch and the round-trip tests can treat dd uniformly
+/// with the other emulated formats.
 template <>
 struct ScalarCodec<DoubleDouble> {
   using Scalar = DoubleDouble;
@@ -211,12 +191,6 @@ struct ScalarCodec<DoubleDouble> {
   [[nodiscard]] static Scalar from_bits(Storage b) noexcept {
     return {std::bit_cast<double>(static_cast<std::uint64_t>(b >> 64)),
             std::bit_cast<double>(static_cast<std::uint64_t>(b))};
-  }
-  [[nodiscard]] static double bits_to_double(Storage b) noexcept {
-    return from_bits(b).to_double();
-  }
-  [[nodiscard]] static Storage bits_from_double(double d) noexcept {
-    return to_bits(Scalar::from_double(d));
   }
 };
 

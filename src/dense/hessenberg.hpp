@@ -6,9 +6,8 @@
 // restored to Hessenberg form before the Francis QR sweep.
 //
 // The reflector applications run through the kernel layer
-// (kernels/vector_ops.hpp) as contiguous column dot/axpy operations, so
-// the ≤16-bit formats take the LUT fast paths. The row-wise right/Q
-// applications are expressed column-by-column; per element the
+// (kernels/vector_ops.hpp) as contiguous column dot/axpy operations. The
+// row-wise right/Q applications are expressed column-by-column; per element the
 // accumulation order (ascending j) is unchanged, and commuting a
 // correctly rounded multiply or folding a negation into the axpy
 // coefficient is exact in every format here, so results are bit-identical

@@ -2,9 +2,9 @@
 //
 // The matvec accumulates in the working format T — this is the central
 // kernel whose low-precision behavior the study measures. Like the dense
-// kernels in vector_ops.hpp it is written once against a scalar-operation
-// policy: the ≤16-bit formats take the bit-identical LUT fast paths from
-// kernels/accel.hpp, everything else runs the exact engines.
+// kernels in vector_ops.hpp it is a plain loop over T; the 8-bit formats
+// additionally have a planned variant that runs in the bit domain over
+// their operation tables (arith/lut.hpp).
 #pragma once
 
 #include <cstddef>
@@ -15,32 +15,6 @@
 
 namespace mfla {
 namespace kernels {
-
-namespace detail {
-
-template <typename T, class Ops>
-void spmv_impl(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-               const T* values, const T* x, T* y, const Ops& ops) noexcept {
-  for (std::size_t i = 0; i < rows; ++i) {
-    T acc(0);
-    for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      acc = ops.add(acc, ops.mul(values[k], x[col_idx[k]]));
-    }
-    y[i] = acc;
-  }
-}
-
-}  // namespace detail
-
-namespace ref {
-
-template <typename T>
-void spmv(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-          const T* values, const T* x, T* y) noexcept {
-  detail::spmv_impl(rows, row_ptr, col_idx, values, x, y, accel::NativeOps<T>{});
-}
-
-}  // namespace ref
 
 // -- 8-bit precomputed-offset fast path -------------------------------------
 
@@ -72,9 +46,9 @@ template <typename T>
 
 #if MFLA_ENABLE_LUT
 
-/// y := A x with the precomputed offset plan; bit-identical to the generic
-/// LUT path (the accumulation runs in the bit domain over the very same
-/// tables, in the very same order). Callers must check lut_enabled().
+/// y := A x with the precomputed offset plan; bit-identical to spmv (the
+/// accumulation runs in the bit domain over the very tables T's operators
+/// read, in the very same order).
 template <typename T>
 void spmv_planned(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
                   const std::uint16_t* offsets, const T* x, T* y) noexcept {
@@ -100,9 +74,13 @@ void spmv_planned(std::size_t rows, const std::uint32_t* row_ptr, const std::uin
 /// y := A x for CSR (row_ptr, col_idx, values), accumulated in T.
 template <typename T>
 void spmv(std::size_t rows, const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
-          const T* values, const T* x, T* y) {
-  accel::with_ops<T>(
-      [&](const auto& ops) { detail::spmv_impl(rows, row_ptr, col_idx, values, x, y, ops); });
+          const T* values, const T* x, T* y) noexcept {
+  for (std::size_t i = 0; i < rows; ++i) {
+    T acc(0);
+    for (std::uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k)
+      acc = acc + values[k] * x[col_idx[k]];
+    y[i] = acc;
+  }
 }
 
 }  // namespace kernels

@@ -64,12 +64,12 @@ class CsrMatrix {
   }
 
   /// y := A x, accumulated in T. 8-bit formats with a current offset plan
-  /// take the precomputed-offset LUT kernel (bit-identical to the generic
-  /// dispatch; kernels/spmv.hpp).
+  /// take the precomputed-offset table kernel (bit-identical to the generic
+  /// loop; kernels/spmv.hpp).
   void matvec(const T* x, T* y) const {
 #if MFLA_ENABLE_LUT
     if constexpr (kernels::spmv_plan_supported<T>()) {
-      if (spmv_plan_.size() == values_.size() && kernels::lut_enabled()) {
+      if (spmv_plan_.size() == values_.size()) {
         kernels::spmv_planned(rows_, row_ptr_.data(), col_idx_.data(), spmv_plan_.data(), x, y);
         return;
       }

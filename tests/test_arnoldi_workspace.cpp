@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "arith/exact.hpp"
 #include "core/krylov_schur.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -198,21 +199,28 @@ TEST(PartialSchurBitIdentity, MatchesPreRefactorGoldensForNarrowFormats) {
   check("t16", partialschur_digest<Takum16>(a, start));
 }
 
-// The LUT fast paths (including the precomputed-offset SpMV the 8-bit
-// formats now take inside CsrMatrix::matvec) must not change a single bit:
-// the same digests must come out with every fast path disabled.
+// The table-backed arithmetic (including the precomputed-offset SpMV the
+// 8-bit formats take inside CsrMatrix::matvec) must not change a single
+// bit: the same solve on Exact<T>, i.e. on the exact engines with every
+// table out of the path, must produce the same digest.
 TEST(PartialSchurBitIdentity, LutOnAndOffAgree) {
   const CsrMatrix<double> a = workspace_matrix();
   const std::vector<double> start = golden_start(a.rows());
 
-  const Hash128 on_e4m3 = partialschur_digest<OFP8E4M3>(a, start);
-  const Hash128 on_p16 = partialschur_digest<Posit16>(a, start);
-  const bool was = kernels::set_lut_enabled(false);
-  const Hash128 off_e4m3 = partialschur_digest<OFP8E4M3>(a, start);
-  const Hash128 off_p16 = partialschur_digest<Posit16>(a, start);
-  kernels::set_lut_enabled(was);
-  EXPECT_EQ(on_e4m3, off_e4m3);
-  EXPECT_EQ(on_p16, off_p16);
+  EXPECT_EQ(partialschur_digest<OFP8E4M3>(a, start),
+            partialschur_digest<Exact<OFP8E4M3>>(a, start));
+  EXPECT_EQ(partialschur_digest<OFP8E5M2>(a, start),
+            partialschur_digest<Exact<OFP8E5M2>>(a, start));
+  EXPECT_EQ(partialschur_digest<Posit8>(a, start), partialschur_digest<Exact<Posit8>>(a, start));
+  EXPECT_EQ(partialschur_digest<Takum8>(a, start), partialschur_digest<Exact<Takum8>>(a, start));
+  EXPECT_EQ(partialschur_digest<Float16>(a, start),
+            partialschur_digest<Exact<Float16>>(a, start));
+  EXPECT_EQ(partialschur_digest<BFloat16>(a, start),
+            partialschur_digest<Exact<BFloat16>>(a, start));
+  EXPECT_EQ(partialschur_digest<Posit16>(a, start),
+            partialschur_digest<Exact<Posit16>>(a, start));
+  EXPECT_EQ(partialschur_digest<Takum16>(a, start),
+            partialschur_digest<Exact<Takum16>>(a, start));
 }
 
 // ---------------------------------------------------------------------------
@@ -224,19 +232,21 @@ void expect_planned_spmv_identity() {
   const CsrMatrix<double> ad = workspace_matrix();
   const CsrMatrix<T> a = ad.convert<T>();  // plan built by convert()
   const std::size_t n = a.rows();
-  std::vector<T> x(n), y_planned(n), y_generic(n), y_ref(n);
+  const CsrMatrix<Exact<T>> ae = ad.convert<Exact<T>>();
+  std::vector<T> x(n), y_planned(n), y_generic(n);
+  std::vector<Exact<T>> xe(n), y_exact(n);
   SplitMix64 sm(0xabc);
   for (std::size_t i = 0; i < n; ++i)
     x[i] = NumTraits<T>::from_double(static_cast<double>(sm.next() >> 11) * 0x1.0p-52 - 1.0);
+  for (std::size_t i = 0; i < n; ++i) xe[i] = Exact<T>::of(x[i]);
 
-  a.matvec(x.data(), y_planned.data());  // planned path (LUT build default on)
+  a.matvec(x.data(), y_planned.data());  // planned path in a table build
   kernels::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(), x.data(),
                 y_generic.data());
-  kernels::ref::spmv(a.rows(), a.row_ptr().data(), a.col_idx().data(), a.values().data(),
-                     x.data(), y_ref.data());
+  ae.matvec(xe.data(), y_exact.data());  // the same loop on the exact engines
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(NumTraits<T>::to_double(y_planned[i]), NumTraits<T>::to_double(y_generic[i]));
-    EXPECT_EQ(NumTraits<T>::to_double(y_planned[i]), NumTraits<T>::to_double(y_ref[i]));
+    EXPECT_EQ(NumTraits<T>::to_double(y_planned[i]), y_exact[i].to_double());
   }
 }
 

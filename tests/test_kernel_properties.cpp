@@ -1,12 +1,13 @@
-// Property/fuzz harness over the kernel layer: every dispatching kernels::
-// entry point must be bit-identical to its kernels::ref:: definition under
-// both acceleration configurations — LUT off and LUT on — for EVERY
-// format in the registry, on operand
+// Property/fuzz harness over the kernel layer: every kernels:: entry point
+// run on a format T must be bit-identical to the same kernel run on
+// Exact<T> (arith/exact.hpp), i.e. on T's exact engines with no table in
+// the path — for EVERY emulated format in the registry, on operand
 // streams that deliberately include the nasty values (NaN / NaR, +/-inf,
 // -0.0, double denormals, values past the format's range in both
-// directions) interleaved with seeded pseudo-random data.
+// directions) interleaved with seeded pseudo-random data. Native float and
+// double have no separate exact engine, so there is nothing to compare.
 //
-// The LUT tier may only change how results are obtained, never what is
+// The table tier may only change how results are obtained, never what is
 // computed; this suite is the pairwise enforcement of that contract one
 // level above the exhaustive per-table tests (test_kernel_accel.cpp).
 // Results are compared by object representation (memcmp), so NaN payloads
@@ -17,41 +18,17 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "arith/exact.hpp"
 #include "arith/format_registry.hpp"
 #include "dense/matrix.hpp"
-#include "kernels/accel.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/vector_ops.hpp"
 #include "support/rng.hpp"
 
 namespace mfla {
 namespace {
-
-/// The dispatch configurations under test (ref:: is the implicit extra leg
-/// of every comparison): exact engines and the LUT fast paths.
-struct Config {
-  bool lut;
-  const char* name;
-};
-constexpr Config kConfigs[] = {
-    {false, "exact"},
-    {true, "lut"},
-};
-
-/// Scoped override of the runtime LUT switch.
-class ConfigGuard {
- public:
-  explicit ConfigGuard(const Config& c) : lut_prev_(kernels::set_lut_enabled(c.lut)) {}
-  ~ConfigGuard() { kernels::set_lut_enabled(lut_prev_); }
-  ConfigGuard(const ConfigGuard&) = delete;
-  ConfigGuard& operator=(const ConfigGuard&) = delete;
-
- private:
-  bool lut_prev_;
-};
 
 template <typename T>
 [[nodiscard]] bool same_repr(const T& a, const T& b) {
@@ -78,16 +55,6 @@ std::vector<T> fuzz_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-template <typename T>
-void expect_vec_repr(const std::vector<T>& got, const std::vector<T>& want,
-                     const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_TRUE(same_repr(got[i], want[i]))
-        << NumTraits<T>::name() << " " << what << " differs from ref at " << i << " ("
-        << NumTraits<T>::to_double(got[i]) << " vs " << NumTraits<T>::to_double(want[i]) << ")";
-}
-
 /// A small fixed CSR structure with irregular rows (lengths 0..4) used for
 /// the spmv leg; values come from the fuzz stream.
 struct FuzzCsr {
@@ -106,8 +73,36 @@ struct FuzzCsr {
   }
 };
 
+/// The same values on the exact engines.
+template <typename T>
+std::vector<Exact<T>> exact_copy(const std::vector<T>& v) {
+  std::vector<Exact<T>> out;
+  out.reserve(v.size());
+  for (const T& x : v) out.push_back(Exact<T>::of(x));
+  return out;
+}
+
+template <typename T>
+DenseMatrix<Exact<T>> exact_copy(const DenseMatrix<T>& a) {
+  DenseMatrix<Exact<T>> out(a.rows(), a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    for (std::size_t i = 0; i < a.rows(); ++i) out(i, j) = Exact<T>::of(a(i, j));
+  return out;
+}
+
+template <typename T>
+void expect_vec_repr(const std::vector<T>& got, const std::vector<Exact<T>>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_TRUE(same_repr(got[i], want[i].value()))
+        << NumTraits<T>::name() << " " << what << " differs from the exact engine at " << i
+        << " (" << NumTraits<T>::to_double(got[i]) << " vs " << want[i].to_double() << ")";
+}
+
 template <typename T>
 void check_format(int bits) {
+  using E = Exact<T>;
   // Wide formats run fully emulated exact engines on every leg; keep their
   // volume down so the suite stays fast.
   const std::size_t nmax = bits <= 16 ? 130 : 33;
@@ -117,26 +112,21 @@ void check_format(int bits) {
   for (const std::size_t n : lengths) {
     const auto x = fuzz_vec<T>(n, 1 + n);
     const auto y = fuzz_vec<T>(n, 2 + n);
+    const auto xe = exact_copy(x), ye = exact_copy(y);
 
-    // Reference results (exact engines, by definition).
-    const T dot_ref = kernels::ref::dot(n, x.data(), y.data());
-    const T nrm_ref = kernels::ref::nrm2(n, x.data());
-    std::vector<T> axpy_ref = y, scal_ref = x;
-    kernels::ref::axpy(n, alpha, x.data(), axpy_ref.data());
-    kernels::ref::scal(n, alpha, scal_ref.data());
-
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      ASSERT_TRUE(same_repr(kernels::dot(n, x.data(), y.data()), dot_ref))
-          << NumTraits<T>::name() << " dot n=" << n << " cfg=" << cfg.name;
-      ASSERT_TRUE(same_repr(kernels::nrm2(n, x.data()), nrm_ref))
-          << NumTraits<T>::name() << " nrm2 n=" << n << " cfg=" << cfg.name;
-      std::vector<T> ax = y, sc = x;
-      kernels::axpy(n, alpha, x.data(), ax.data());
-      kernels::scal(n, alpha, sc.data());
-      expect_vec_repr(ax, axpy_ref, std::string("axpy cfg=") + cfg.name);
-      expect_vec_repr(sc, scal_ref, std::string("scal cfg=") + cfg.name);
-    }
+    ASSERT_TRUE(same_repr(kernels::dot(n, x.data(), y.data()),
+                          kernels::dot(n, xe.data(), ye.data()).value()))
+        << NumTraits<T>::name() << " dot n=" << n;
+    ASSERT_TRUE(same_repr(kernels::nrm2(n, x.data()), kernels::nrm2(n, xe.data()).value()))
+        << NumTraits<T>::name() << " nrm2 n=" << n;
+    std::vector<T> ax = y, sc = x;
+    std::vector<E> axe = ye, sce = xe;
+    kernels::axpy(n, alpha, x.data(), ax.data());
+    kernels::axpy(n, E::of(alpha), xe.data(), axe.data());
+    kernels::scal(n, alpha, sc.data());
+    kernels::scal(n, E::of(alpha), sce.data());
+    expect_vec_repr(ax, axe, "axpy");
+    expect_vec_repr(sc, sce, "scal");
   }
 
   // Dense gemv / gemv_t / matmul on a small matrix with specials.
@@ -152,35 +142,23 @@ void check_format(int bits) {
     const auto bv = fuzz_vec<T>(n2 * 5, 44);
     for (std::size_t j = 0; j < 5; ++j)
       for (std::size_t i = 0; i < n2; ++i) b(i, j) = bv[j * n2 + i];
+    const auto ae = exact_copy(a), be = exact_copy(b);
+    const auto xre = exact_copy(xr), xle = exact_copy(xl);
 
-    // The exact configuration runs first and its results are the
-    // reference. All legs share this one call site, so a native type's
-    // legs run the same machine code: the sign of a NaN produced from two
-    // NaN operands is unspecified, and separately inlined copies of a
-    // kernel may legally pick different operand orders.
-    static_assert(!kConfigs[0].lut);
-    std::vector<T> gemv_ref, gemvt_ref;
-    DenseMatrix<T> mm_ref;
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      std::vector<T> gv(m), gvt(n2);
-      kernels::gemv(a, xr.data(), gv.data());
-      kernels::gemv_t(a, xl.data(), gvt.data());
-      DenseMatrix<T> mm = kernels::matmul(a, b);
-      if (&cfg == &kConfigs[0]) {
-        gemv_ref = std::move(gv);
-        gemvt_ref = std::move(gvt);
-        mm_ref = std::move(mm);
-        continue;
-      }
-      expect_vec_repr(gv, gemv_ref, std::string("gemv cfg=") + cfg.name);
-      expect_vec_repr(gvt, gemvt_ref, std::string("gemv_t cfg=") + cfg.name);
-      for (std::size_t j = 0; j < mm.cols(); ++j)
-        for (std::size_t i = 0; i < mm.rows(); ++i)
-          ASSERT_TRUE(same_repr(mm(i, j), mm_ref(i, j)))
-              << NumTraits<T>::name() << " matmul cfg=" << cfg.name << " (" << i << ", " << j
-              << ")";
-    }
+    std::vector<T> gv(m), gvt(n2);
+    std::vector<E> gve(m), gvte(n2);
+    kernels::gemv(a, xr.data(), gv.data());
+    kernels::gemv(ae, xre.data(), gve.data());
+    kernels::gemv_t(a, xl.data(), gvt.data());
+    kernels::gemv_t(ae, xle.data(), gvte.data());
+    expect_vec_repr(gv, gve, "gemv");
+    expect_vec_repr(gvt, gvte, "gemv_t");
+    const DenseMatrix<T> mm = kernels::matmul(a, b);
+    const DenseMatrix<E> mme = kernels::matmul(ae, be);
+    for (std::size_t j = 0; j < mm.cols(); ++j)
+      for (std::size_t i = 0; i < mm.rows(); ++i)
+        ASSERT_TRUE(same_repr(mm(i, j), mme(i, j).value()))
+            << NumTraits<T>::name() << " matmul (" << i << ", " << j << ")";
   }
 
   // Sparse: spmv over an irregular structure with special values.
@@ -188,16 +166,13 @@ void check_format(int bits) {
     const FuzzCsr s(29, 17, 5);
     const auto vals = fuzz_vec<T>(s.col_idx.size(), 51);
     const auto x = fuzz_vec<T>(s.cols, 52);
-    std::vector<T> spmv_ref(s.rows);
-    kernels::ref::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
-                       spmv_ref.data());
-    for (const Config& cfg : kConfigs) {
-      ConfigGuard guard(cfg);
-      std::vector<T> yv(s.rows);
-      kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(),
-                    yv.data());
-      expect_vec_repr(yv, spmv_ref, std::string("spmv cfg=") + cfg.name);
-    }
+    const auto valse = exact_copy(vals), xe = exact_copy(x);
+    std::vector<T> yv(s.rows);
+    std::vector<E> yve(s.rows);
+    kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), vals.data(), x.data(), yv.data());
+    kernels::spmv(s.rows, s.row_ptr.data(), s.col_idx.data(), valse.data(), xe.data(),
+                  yve.data());
+    expect_vec_repr(yv, yve, "spmv");
   }
 }
 
@@ -206,7 +181,7 @@ TEST(KernelProperties, AllRegistryFormats) {
     SCOPED_TRACE(info.name);
     dispatch_format(info.id, [&](auto tag) {
       using T = typename decltype(tag)::type;
-      check_format<T>(info.bits);
+      if constexpr (HasExactEngine<T>) check_format<T>(info.bits);
     });
   }
 }

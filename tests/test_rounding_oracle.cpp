@@ -1,7 +1,8 @@
 // Decode-only correct-rounding oracle.
 //
-// Checks that the emulated +, -, *, / and sqrt return the correctly rounded
-// result, using nothing of the format but its decoder: the oracle never
+// Checks that the emulated +, -, *, / and sqrt — the exact engines by name
+// (add_exact, ...) and the table-backed operators alike — return the
+// correctly rounded result, using nothing of the format but its decoder: the oracle never
 // calls from_double or encode_positive, so it does not share code with the
 // encoders it judges.
 //
@@ -370,10 +371,17 @@ void check_binary_ops(std::uint32_t a, std::uint32_t b, int& bad) {
                     << +got.bits() << ", correctly rounded 0x" << +want.bits();
     }
   };
-  check("+", x + y, O::add(x, y));
-  check("-", x - y, O::add(x, -y));
-  check("*", x * y, O::mul(x, y));
-  check("/", x / y, O::div(x, y));
+  // The exact engine by name, and the operators (table-backed at 8 and 16
+  // bits) on top of it.
+  const T sum = O::add(x, y), diff = O::add(x, -y), prod = O::mul(x, y), quot = O::div(x, y);
+  check("+", T::add_exact(x, y), sum);
+  check("-", T::sub_exact(x, y), diff);
+  check("*", T::mul_exact(x, y), prod);
+  check("/", T::div_exact(x, y), quot);
+  check("+", x + y, sum);
+  check("-", x - y, diff);
+  check("*", x * y, prod);
+  check("/", x / y, quot);
 }
 
 template <class O>
@@ -415,10 +423,12 @@ void exhaustive_sqrt() {
   int bad = 0;
   for (std::uint32_t a = 0; a < (1u << T::kBits); ++a) {
     const T x = T::from_bits(static_cast<Storage>(a));
-    const T got = sqrt(x), want = O::sqrt(x);
-    if (!O::same(got, want) && ++bad <= 8) {
-      ADD_FAILURE() << "sqrt(0x" << std::hex << a << "): got 0x" << +got.bits()
-                    << ", correctly rounded 0x" << +want.bits();
+    const T want = O::sqrt(x);
+    for (const T got : {T::sqrt_exact(x), sqrt(x)}) {
+      if (!O::same(got, want) && ++bad <= 8) {
+        ADD_FAILURE() << "sqrt(0x" << std::hex << a << "): got 0x" << +got.bits()
+                      << ", correctly rounded 0x" << +want.bits();
+      }
     }
   }
   EXPECT_EQ(bad, 0);
