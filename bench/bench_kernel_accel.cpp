@@ -1,13 +1,20 @@
-// Exact-engine vs table-backed throughput per format and width: dot, axpy
-// and sparse matvec for every table-backed format, plus one dense-restart
-// case (hessenberg_reduce + hessenberg_to_schur on a fixed 12x12 matrix)
-// for posit8, takum8, E4M3 and posit16.
+// Exact-engine vs fast-path throughput per format and width: dot, axpy
+// and sparse matvec for every table-backed format, dot and axpy for the
+// 32- and 64-bit posits and takums, and a dense-restart case
+// (hessenberg_reduce + hessenberg_to_schur on a fixed 12x12 matrix) for
+// posit8, takum8, E4M3, posit16 and the 32/64-bit posits and takums.
 //
 // The exact series runs each kernel on Exact<T> (arith/exact.hpp), whose
 // operators call T's exact engines by name (add_exact, mul_exact, ...);
-// the lut series runs the same kernel on T itself, whose operators read
-// the tables of arith/lut.hpp. In an MFLA_ENABLE_LUT=0 build both series
-// measure the exact engines.
+// the fast series runs the same kernel on T itself: at 8 and 16 bits its
+// operators read the tables of arith/lut.hpp, and from 16 bits up the
+// posit/takum kernels and bulge chase keep operands decoded
+// (arith/tapered.hpp). In an MFLA_ENABLE_LUT=0 build the 8-bit series and
+// the float16/bfloat16 series both measure the exact engines.
+//
+// tools/bench_compare.py gates the exact/fast ratio of each kernel and
+// format, which the host's speed cancels out of; the raw timings are
+// informational.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -58,9 +65,13 @@ void BM_Axpy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto x = random_vec<T>(n, 3);
   auto y = random_vec<T>(n, 4);
-  const T alpha = NumTraits<T>::from_double(0.37);
+  // Alternate the sign of alpha so y stays near its start instead of
+  // growing with the iteration count, which would change what the
+  // formats' special cases cost from one run to the next.
+  const T alpha[2] = {NumTraits<T>::from_double(0.37), NumTraits<T>::from_double(-0.37)};
+  std::size_t flip = 0;
   for (auto _ : state) {
-    kernels::axpy(n, alpha, x.data(), y.data());
+    kernels::axpy(n, alpha[flip ^= 1], x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
@@ -102,17 +113,20 @@ void BM_Restart(benchmark::State& state) {
   }
 }
 
-#define MFLA_ACCEL_BENCH(T)                                                            \
+#define MFLA_VECTOR_BENCH(T)                                                           \
   BENCHMARK_TEMPLATE(BM_Dot, Exact<T>)->Name("Dot/exact/" #T)->Arg(4096);              \
-  BENCHMARK_TEMPLATE(BM_Dot, T)->Name("Dot/lut/" #T)->Arg(4096);                       \
+  BENCHMARK_TEMPLATE(BM_Dot, T)->Name("Dot/fast/" #T)->Arg(4096);                      \
   BENCHMARK_TEMPLATE(BM_Axpy, Exact<T>)->Name("Axpy/exact/" #T)->Arg(4096);            \
-  BENCHMARK_TEMPLATE(BM_Axpy, T)->Name("Axpy/lut/" #T)->Arg(4096);                     \
+  BENCHMARK_TEMPLATE(BM_Axpy, T)->Name("Axpy/fast/" #T)->Arg(4096)
+
+#define MFLA_ACCEL_BENCH(T)                                                            \
+  MFLA_VECTOR_BENCH(T);                                                                \
   BENCHMARK_TEMPLATE(BM_SpMV, Exact<T>)->Name("SpMV/exact/" #T)->Arg(512);             \
-  BENCHMARK_TEMPLATE(BM_SpMV, T)->Name("SpMV/lut/" #T)->Arg(512)
+  BENCHMARK_TEMPLATE(BM_SpMV, T)->Name("SpMV/fast/" #T)->Arg(512)
 
 #define MFLA_RESTART_BENCH(T)                                                          \
   BENCHMARK_TEMPLATE(BM_Restart, Exact<T>)->Name("Restart/exact/" #T)->Arg(12);        \
-  BENCHMARK_TEMPLATE(BM_Restart, T)->Name("Restart/lut/" #T)->Arg(12)
+  BENCHMARK_TEMPLATE(BM_Restart, T)->Name("Restart/fast/" #T)->Arg(12)
 
 // The four 8-bit formats (full result tables).
 MFLA_ACCEL_BENCH(OFP8E4M3);
@@ -124,10 +138,20 @@ MFLA_ACCEL_BENCH(Float16);
 MFLA_ACCEL_BENCH(BFloat16);
 MFLA_ACCEL_BENCH(Posit16);
 MFLA_ACCEL_BENCH(Takum16);
+// The 32/64-bit posits and takums (decoded domain; SpMV runs the
+// operators, so only the vector kernels are timed).
+MFLA_VECTOR_BENCH(Posit32);
+MFLA_VECTOR_BENCH(Takum32);
+MFLA_VECTOR_BENCH(Posit64);
+MFLA_VECTOR_BENCH(Takum64);
 // The dense restart, which the kernel tier alone never reached.
 MFLA_RESTART_BENCH(Posit8);
 MFLA_RESTART_BENCH(Takum8);
 MFLA_RESTART_BENCH(OFP8E4M3);
 MFLA_RESTART_BENCH(Posit16);
+MFLA_RESTART_BENCH(Posit32);
+MFLA_RESTART_BENCH(Takum32);
+MFLA_RESTART_BENCH(Posit64);
+MFLA_RESTART_BENCH(Takum64);
 
 }  // namespace

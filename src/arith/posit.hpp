@@ -47,6 +47,14 @@ struct PositCodec {
     return s.c_str();
   }
 
+  /// Fraction bits an encoding in binade e keeps: N - 1 payload bits less
+  /// the regime (k+2 bits for k >= 0, 1-k for k < 0) and the ES exponent
+  /// bits. Negative where the prefix itself is cut.
+  [[nodiscard]] static constexpr int frac_bits(int e) noexcept {
+    const int k = e >> ES;
+    return N - 1 - ((k >= 0) ? k + 2 : 1 - k) - ES;
+  }
+
   [[nodiscard]] static Unpacked decode_positive(std::uint64_t p) noexcept {
     const std::uint64_t x = p << (64 - N);
     const std::uint64_t y = x << 1;  // regime field starts at bit 63

@@ -43,6 +43,16 @@ struct TakumCodec {
     return s.c_str();
   }
 
+  /// Fraction bits an encoding of characteristic e keeps: N - 1 payload
+  /// bits less D, R (4 bits) and the characteristic field, whose width is
+  /// floor(log2(e + 1)) for e >= 0 and floor(log2(-e)) for e < 0.
+  /// Negative where the prefix itself is cut.
+  [[nodiscard]] static constexpr int frac_bits(int e) noexcept {
+    const int cbits = (e >= 0) ? detail::bitlen(static_cast<unsigned>(e) + 1) - 1
+                               : detail::bitlen(static_cast<unsigned>(-e)) - 1;
+    return N - 5 - cbits;
+  }
+
   [[nodiscard]] static Unpacked decode_positive(std::uint64_t p) noexcept {
     const std::uint64_t x = p << (64 - N);
     const int d = static_cast<int>((x >> 62) & 1);

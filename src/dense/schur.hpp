@@ -7,9 +7,13 @@
 // are standardized to triangular form.
 //
 // Everything runs in the working scalar type T so that low-precision
-// behavior is exactly that of the format under study; a non-finite value
-// (overflow/NaR poisoning) aborts with failure, which the eigensolver
-// classifies as non-convergence.
+// behavior is exactly that of the format under study. The bulge chase's
+// reflector applications run in the kernels' arithmetic domain
+// (kernels::Domain<T>): for the >=16-bit posits and takums the reflector
+// is decoded once per bulge position and each matrix element is decoded
+// and encoded once per application, with the same bits as T's operators.
+// A non-finite value (overflow/NaR poisoning) aborts with failure, which
+// the eigensolver classifies as non-convergence.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +21,7 @@
 
 #include "arith/traits.hpp"
 #include "dense/matrix.hpp"
+#include "kernels/vector_ops.hpp"
 
 namespace mfla {
 
@@ -132,6 +137,40 @@ bool make_reflector(const T* x, int nr, T* v, T& tau,
   return true;
 }
 
+/// Applies the Householder reflector I - beta v v^T to `count` vectors of
+/// Nr elements: vector c is x[c * step + i * stride], i < Nr. v and beta
+/// come in the kernel domain. Nr is a template argument so that v and each
+/// vector live in registers, out of reach of the stores through x.
+/// v_i x_i is formed as x_i v_i in the row-wise applications; commuting a
+/// correctly rounded multiply is exact in every format here.
+template <int Nr, typename T>
+void reflect(const typename kernels::Domain<T>::Value* v, typename kernels::Domain<T>::Value beta,
+             T* x, std::size_t stride, std::size_t step, std::size_t count) {
+  using D = kernels::Domain<T>;
+  using V = typename D::Value;
+  V vl[Nr];
+  for (int i = 0; i < Nr; ++i) vl[i] = v[i];
+  for (std::size_t c = 0; c < count; ++c, x += step) {
+    V xs[Nr];
+    V s = D::zero();
+    for (int i = 0; i < Nr; ++i) {
+      xs[i] = D::load(x[i * stride]);
+      s = D::add(s, D::mul(vl[i], xs[i]));
+    }
+    s = D::mul(s, beta);
+    for (int i = 0; i < Nr; ++i) x[i * stride] = D::store(D::sub(xs[i], D::mul(s, vl[i])));
+  }
+}
+
+/// The same for a reflector of length nr (2 or 3, as the bulge chase
+/// makes them).
+template <typename T>
+void reflect(const typename kernels::Domain<T>::Value* v, typename kernels::Domain<T>::Value beta,
+             int nr, T* x, std::size_t stride, std::size_t step, std::size_t count) {
+  if (nr == 3) reflect<3>(v, beta, x, stride, step, count);
+  else reflect<2>(v, beta, x, stride, step, count);
+}
+
 }  // namespace detail
 
 /// Francis double-shift QR: h (upper Hessenberg, modified in place into the
@@ -228,28 +267,18 @@ SchurStatus hessenberg_to_schur(DenseMatrix<T>& h, DenseMatrix<T>& z, int max_sw
       T v[3], beta;
       if (!detail::make_reflector(col, nr, v, beta, style)) continue;
 
+      using D = kernels::Domain<T>;
+      typename D::Value vd[3];
+      for (int i = 0; i < nr; ++i) vd[i] = D::load(v[i]);
+      const typename D::Value bd = D::load(beta);
       // Left: rows k..k+nr-1, all columns (small m: simplicity over flops).
-      for (int j = (k > lo ? k - 1 : lo); j < n; ++j) {
-        T s(0);
-        for (int i = 0; i < nr; ++i) s += v[i] * h(k + i, j);
-        s *= beta;
-        for (int i = 0; i < nr; ++i) h(k + i, j) -= s * v[i];
-      }
+      const int j0 = k > lo ? k - 1 : lo;
+      detail::reflect(vd, bd, nr, &h(k, j0), 1, h.rows(), static_cast<std::size_t>(n - j0));
       // Right: columns k..k+nr-1.
       const int ilast = (k + nr + 1 < hi + 1) ? k + nr + 1 : hi + 1;
-      for (int i = 0; i < ilast; ++i) {
-        T s(0);
-        for (int j = 0; j < nr; ++j) s += h(i, k + j) * v[j];
-        s *= beta;
-        for (int j = 0; j < nr; ++j) h(i, k + j) -= s * v[j];
-      }
+      detail::reflect(vd, bd, nr, &h(0, k), h.rows(), 1, static_cast<std::size_t>(ilast));
       // Accumulate into z.
-      for (std::size_t i = 0; i < z.rows(); ++i) {
-        T s(0);
-        for (int j = 0; j < nr; ++j) s += z(i, k + j) * v[j];
-        s *= beta;
-        for (int j = 0; j < nr; ++j) z(i, k + j) -= s * v[j];
-      }
+      detail::reflect(vd, bd, nr, &z(0, k), z.rows(), 1, z.rows());
       // Clean the annihilated entries below the subdiagonal.
       if (k > lo) {
         for (int i = k + 1; i <= k + nr - 1; ++i) h(i, k - 1) = T(0);

@@ -45,6 +45,18 @@ using uint_for_bits =
   return x >> s;
 }
 
+/// Floor of the integer square root of a 64-bit value: the correctly
+/// rounded double square root is within one of it, and an exact integer
+/// correction removes that error. No division.
+[[nodiscard]] inline std::uint32_t isqrt_u64(std::uint64_t n) noexcept {
+  constexpr std::uint64_t kMax = 0xffffffffu;  // floor(sqrt(2^64 - 1))
+  auto x = static_cast<std::uint64_t>(__builtin_sqrt(static_cast<double>(n)));
+  if (x > kMax) x = kMax;
+  while (x * x > n) --x;
+  while (x < kMax && (x + 1) * (x + 1) <= n) ++x;
+  return static_cast<std::uint32_t>(x);
+}
+
 /// Floor of the integer square root of a 128-bit value.
 /// Newton iteration seeded from the long double estimate, with an exact
 /// correction loop (at most a couple of steps).

@@ -1,7 +1,8 @@
 // Allocation-free hot-loop tests: a global operator-new hook counts heap
 // allocations and asserts the steady-state Arnoldi inner loop performs
 // none, and golden digests pin partialschur's results bit-for-bit to the
-// pre-workspace-refactor implementation across all <=16-bit formats.
+// pre-workspace-refactor implementation across all <=16-bit formats and to
+// the operator-only solver for the 32- and 64-bit posits and takums.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -197,6 +198,47 @@ TEST(PartialSchurBitIdentity, MatchesPreRefactorGoldensForNarrowFormats) {
   check("bf16", partialschur_digest<BFloat16>(a, start));
   check("p16", partialschur_digest<Posit16>(a, start));
   check("t16", partialschur_digest<Takum16>(a, start));
+}
+
+TEST(PartialSchurBitIdentity, MatchesGoldensForWideFormats) {
+  // Golden digests captured before the decoded-domain kernels and bulge
+  // chase (arith/tapered.hpp, kernels/vector_ops.hpp, dense/schur.hpp) on
+  // the same matrix and start vector as above. Decoding operands once and
+  // skipping intermediate encodes must not change a bit of the solve.
+  const std::map<std::string, Hash128> golden = {
+      {"p32", {0x4700d8f3e2eec4c6ull, 0x93262b74464ad46bull}},
+      {"t32", {0xe6468bc304f7b755ull, 0x86c52620160bd54cull}},
+      {"p64", {0x54fa3294ed648873ull, 0xaf8ce13fb0445d26ull}},
+      {"t64", {0xe433b437fc831194ull, 0xac09946aaca6a84eull}},
+      {"p32es1", {0x7260f20a6cd3c63aull, 0xb8717a3119b17f4bull}},
+  };
+  const CsrMatrix<double> a = workspace_matrix();
+  const std::vector<double> start = golden_start(a.rows());
+  const auto check = [&](const char* key, const Hash128& digest) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end());
+    EXPECT_EQ(digest, it->second) << "partialschur<" << key << "> diverged from the golden bits";
+  };
+  check("p32", partialschur_digest<Posit32>(a, start));
+  check("t32", partialschur_digest<Takum32>(a, start));
+  check("p64", partialschur_digest<Posit64>(a, start));
+  check("t64", partialschur_digest<Takum64>(a, start));
+  using Posit32Es1 = Posit<32, 1>;
+  check("p32es1", partialschur_digest<Posit32Es1>(a, start));
+}
+
+// The >=16-bit posits and takums run the kernels and the bulge chase in the
+// decoded domain; Exact<T> runs the same solve on the plain operators.
+TEST(PartialSchurBitIdentity, DecodedDomainAgreesWithOperators) {
+  const CsrMatrix<double> a = workspace_matrix();
+  const std::vector<double> start = golden_start(a.rows());
+  EXPECT_EQ(partialschur_digest<Posit32>(a, start), partialschur_digest<Exact<Posit32>>(a, start));
+  EXPECT_EQ(partialschur_digest<Takum32>(a, start), partialschur_digest<Exact<Takum32>>(a, start));
+  EXPECT_EQ(partialschur_digest<Posit64>(a, start), partialschur_digest<Exact<Posit64>>(a, start));
+  EXPECT_EQ(partialschur_digest<Takum64>(a, start), partialschur_digest<Exact<Takum64>>(a, start));
+  using Posit64Es0 = Posit<64, 0>;  // the 128-bit add core
+  EXPECT_EQ(partialschur_digest<Posit64Es0>(a, start),
+            partialschur_digest<Exact<Posit64Es0>>(a, start));
 }
 
 // The table-backed arithmetic (including the precomputed-offset SpMV the

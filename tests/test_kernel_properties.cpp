@@ -4,7 +4,9 @@
 // the path — for EVERY emulated format in the registry, on operand
 // streams that deliberately include the nasty values (NaN / NaR, +/-inf,
 // -0.0, double denormals, values past the format's range in both
-// directions) interleaved with seeded pseudo-random data. Native float and
+// directions, the tapered formats' saturation binades) interleaved with
+// seeded pseudo-random data. For the >=16-bit posits and takums this also
+// pits the kernels' decoded domain against the plain operators. Native float and
 // double have no separate exact engine, so there is nothing to compare.
 //
 // The table tier may only change how results are obtained, never what is
@@ -42,8 +44,15 @@ template <typename T>
 std::vector<T> fuzz_vec(std::size_t n, std::uint64_t seed) {
   constexpr double inf = std::numeric_limits<double>::infinity();
   constexpr double nan = std::numeric_limits<double>::quiet_NaN();
-  const double specials[] = {0.0,    -0.0,   1.0,   -1.0,  inf,     -inf,  nan,  5e-324,
-                             1e-300, -1e-40, 1e300, -1e38, 65504.0, 0.125, -0.1, 3.5};
+  // The second row sits on the tapered formats' edges: their maxpos and
+  // minpos binades (posit16 2^±56, posit32 2^±120, posit64 2^±248, takum
+  // 2^254 and 2^-255, where the zero-fraction value is the zero pattern)
+  // and a fraction of all ones, whose rounding carries into the next binade.
+  const double specials[] = {0.0,     -0.0,      1.0,       -1.0,       inf,       -inf,
+                             nan,     5e-324,    1e-300,    -1e-40,     1e300,     -1e38,
+                             65504.0, 0.125,     -0.1,      3.5,        0x1p56,    -0x1p-56,
+                             0x1p120, -0x1p-120, -0x1p248,  0x1p-248,   0x1p254,   0x1p-255,
+                             -0x1.fffffffffffffp0};
   constexpr std::size_t ns = sizeof(specials) / sizeof(specials[0]);
   Rng rng(seed);
   std::vector<T> v;

@@ -23,10 +23,13 @@
 //
 // Coverage: every operand pair of +, -, *, / for posit8, takum8, OFP8 E4M3
 // and E5M2; seeded random and near-cancelling pairs for posit16, takum16,
-// float16 and bfloat16; every operand of sqrt for all eight formats.
+// float16 and bfloat16; every operand of sqrt for all eight formats; seeded
+// sqrt operands, biased to minpos/maxpos and powers of two, for posit32,
+// takum32 and posit32 with es 0 and 1.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -127,6 +130,7 @@ struct TaperedFormat {
   using T = TaperedFloat<Codec>;
   using Storage = typename T::Storage;
   static constexpr int kBits = Codec::nbits;
+  static constexpr int kMaxExp = Codec::max_exponent;
   static constexpr std::uint64_t kMaxPos = (std::uint64_t{1} << (kBits - 1)) - 1;
 
   static Dyadic value(std::uint64_t p) {
@@ -186,6 +190,7 @@ std::uint64_t round_between(std::uint64_t p, const CompareAbs& cmp) {
 
 template <class F>
 struct TaperedOracle {
+  using Format = F;
   using T = typename F::T;
   using Storage = typename F::Storage;
 
@@ -417,19 +422,44 @@ void random_binary_ops(std::uint64_t seed) {
 }
 
 template <class O>
-void exhaustive_sqrt() {
+void check_sqrt(std::uint64_t a, int& bad) {
   using T = typename O::T;
   using Storage = typename T::Storage;
-  int bad = 0;
-  for (std::uint32_t a = 0; a < (1u << T::kBits); ++a) {
-    const T x = T::from_bits(static_cast<Storage>(a));
-    const T want = O::sqrt(x);
-    for (const T got : {T::sqrt_exact(x), sqrt(x)}) {
-      if (!O::same(got, want) && ++bad <= 8) {
-        ADD_FAILURE() << "sqrt(0x" << std::hex << a << "): got 0x" << +got.bits()
-                      << ", correctly rounded 0x" << +want.bits();
-      }
+  const T x = T::from_bits(static_cast<Storage>(a));
+  const T want = O::sqrt(x);
+  for (const T got : {T::sqrt_exact(x), sqrt(x)}) {
+    if (!O::same(got, want) && ++bad <= 8) {
+      ADD_FAILURE() << "sqrt(0x" << std::hex << a << "): got 0x" << +got.bits()
+                    << ", correctly rounded 0x" << +want.bits();
     }
+  }
+}
+
+template <class O>
+void exhaustive_sqrt() {
+  int bad = 0;
+  for (std::uint32_t a = 0; a < (1u << O::T::kBits); ++a) check_sqrt<O>(a, bad);
+  EXPECT_EQ(bad, 0);
+}
+
+/// Seeded √ operands of a 32-bit tapered format: uniform encodings, the
+/// neighbourhoods of minpos and maxpos, and encodings within two of a power
+/// of two (regime/characteristic boundaries, both exponent parities).
+template <class O>
+void sampled_sqrt(std::uint64_t seed) {
+  using T = typename O::T;
+  constexpr int kMaxExp = O::Format::kMaxExp;
+  std::mt19937_64 rng(seed);
+  int bad = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::uint64_t a = rng();
+    if (i % 4 == 1) a = 1 + rng() % 64;
+    if (i % 4 == 2) a = (T::kNaRBits - 1) - rng() % 64;
+    if (i % 4 == 3) {
+      const int e = static_cast<int>(rng() % (2 * kMaxExp + 1)) - kMaxExp;
+      a = T(std::ldexp(1.0, e)).bits() + rng() % 5 - 2;
+    }
+    check_sqrt<O>(a & T::kMask, bad);
   }
   EXPECT_EQ(bad, 0);
 }
@@ -438,6 +468,8 @@ using P8 = TaperedOracle<TaperedFormat<PositCodec<8>, PositCodec<9>>>;
 using T8 = TaperedOracle<TaperedFormat<TakumCodec<8>, TakumCodec<9>>>;
 using P16 = TaperedOracle<TaperedFormat<PositCodec<16>, PositCodec<17>>>;
 using T16 = TaperedOracle<TaperedFormat<TakumCodec<16>, TakumCodec<17>>>;
+using P32 = TaperedOracle<TaperedFormat<PositCodec<32>, PositCodec<33>>>;
+using T32 = TaperedOracle<TaperedFormat<TakumCodec<32>, TakumCodec<33>>>;
 
 TEST(RoundingOracle, Posit8AllPairs) { exhaustive_binary_ops<P8>(); }
 TEST(RoundingOracle, Takum8AllPairs) { exhaustive_binary_ops<T8>(); }
@@ -463,6 +495,15 @@ TEST(RoundingOracle, Sqrt16BitAll) {
   exhaustive_sqrt<T16>();
   exhaustive_sqrt<MiniOracle<Float16>>();
   exhaustive_sqrt<MiniOracle<BFloat16>>();
+}
+
+// The 32-bit formats take a 64-bit integer root; the oracle squares each
+// candidate exactly (significands below 2^32).
+TEST(RoundingOracle, Sqrt32BitSampled) {
+  sampled_sqrt<P32>(5);
+  sampled_sqrt<T32>(6);
+  sampled_sqrt<TaperedOracle<TaperedFormat<PositCodec<32, 0>, PositCodec<33, 0>>>>(7);
+  sampled_sqrt<TaperedOracle<TaperedFormat<PositCodec<32, 1>, PositCodec<33, 1>>>>(8);
 }
 
 }  // namespace

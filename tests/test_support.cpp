@@ -66,6 +66,27 @@ TEST(Int128, IsqrtPerfectSquares) {
   }
 }
 
+// The 64-bit root behind sqrt of the <=32-bit tapered formats: small
+// values, squares and their neighbours (where the double seed is off by
+// one), random words, and the top of the range, whose seed rounds to 2^32.
+TEST(Int128, IsqrtU64) {
+  const auto check = [](std::uint64_t n) {
+    const std::uint64_t s = isqrt_u64(n);
+    EXPECT_LE(static_cast<u128>(s) * s, static_cast<u128>(n)) << n;
+    EXPECT_GT(static_cast<u128>(s + 1) * (s + 1), static_cast<u128>(n)) << n;
+  };
+  for (std::uint64_t n = 0; n < 10000; ++n) check(n);
+  Rng rng(9);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t r = rng.next_u64() >> 32;
+    check(r * r);
+    check(r * r - 1);
+    check(r * r + 2 * r);  // (r + 1)^2 - 1
+    check(rng.next_u64());
+  }
+  for (std::uint64_t d = 0; d < 1000; ++d) check(~0ull - d);
+}
+
 TEST(FloatBits, DecomposeNormal) {
   const DoubleParts p = decompose_double(1.0);
   EXPECT_FALSE(p.neg);

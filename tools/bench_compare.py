@@ -11,7 +11,13 @@ Metric extraction is direction-aware:
 
 * Google Benchmark files (a top-level ``benchmarks`` array): one
   lower-is-better metric per benchmark entry, its ``real_time`` converted
-  to seconds.
+  to seconds. Entries that come in exact/fast pairs (``<kernel>/exact/<fmt>/<n>``
+  and ``<kernel>/fast/<fmt>/<n>``, as ``bench_kernel_accel`` writes them)
+  instead yield one higher-is-better ratio ``<kernel>/<fmt>/<n>:exact/fast``
+  (exact time over fast time, measured in the same process), and their raw
+  timings, microseconds below the noise floor, become informational. The
+  ratio cancels the host's speed, so a fast path that loses its edge fails
+  the gate on any machine.
 * Plain harness files (``bench_reference_cache``, ``bench_reference_tier``):
   numeric leaves flattened to dotted paths. ``*_seconds``/``*seconds`` are
   lower-is-better, ``*_speedup`` higher-is-better, everything else
@@ -19,7 +25,7 @@ Metric extraction is direction-aware:
 
 Noise guards: timings where baseline and current are both under
 ``--min-seconds`` (default 10 ms) are reported but not gated, and speedup
-ratios are clamped at 50x before comparison — a cache-hit ratio of 3000x
+and exact/fast ratios are clamped at 50x before comparison — a cache-hit ratio of 3000x
 vs 1500x is measurement noise on a sub-millisecond denominator, not a
 regression.
 
@@ -61,6 +67,18 @@ def load_metrics(path: pathlib.Path):
             unit = TIME_UNIT_SECONDS.get(entry.get("time_unit", "ns"), 1e-9)
             if isinstance(entry.get("real_time"), (int, float)):
                 metrics[name] = (entry["real_time"] * unit, "lower")
+        for name in list(metrics):
+            parts = name.split("/")
+            if len(parts) < 3 or parts[1] != "exact":
+                continue
+            fast = "/".join([parts[0], "fast"] + parts[2:])
+            if fast not in metrics or metrics[fast][0] <= 0:
+                continue
+            exact_time, fast_time = metrics[name][0], metrics[fast][0]
+            metrics[name] = (exact_time, "info")
+            metrics[fast] = (fast_time, "info")
+            ratio = "/".join([parts[0]] + parts[2:]) + ":exact/fast"
+            metrics[ratio] = (exact_time / fast_time, "higher")
         return metrics
 
     def walk(prefix, node):
