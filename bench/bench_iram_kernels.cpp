@@ -1,10 +1,13 @@
 // Microbenchmark A2: throughput of the IRAM's inner kernels (dot, norm,
-// axpy, sparse matvec, full Arnoldi step) per format and problem size.
+// axpy, sparse matvec, full Arnoldi step, Hessenberg -> real Schur) per
+// format and problem size.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/arnoldi.hpp"
+#include "dense/hessenberg.hpp"
+#include "dense/schur.hpp"
 #include "kernels/vector_ops.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
@@ -90,11 +93,30 @@ void BM_ArnoldiStep(benchmark::State& state) {
   }
 }
 
+/// Francis QR of a fixed n x n upper Hessenberg matrix (a random matrix,
+/// reduced once) into real Schur form, with the Z accumulation.
+template <typename T>
+void BM_HessenbergToSchur(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng("bench_hessenberg_to_schur", n);
+  DenseMatrix<T> h0(n, n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) h0(i, j) = NumTraits<T>::from_double(rng.normal());
+  DenseMatrix<T> q0 = DenseMatrix<T>::identity(n);
+  hessenberg_reduce(h0, q0);
+  for (auto _ : state) {
+    DenseMatrix<T> h = h0;
+    DenseMatrix<T> z = DenseMatrix<T>::identity(n);
+    benchmark::DoNotOptimize(hessenberg_to_schur(h, z).ok);
+  }
+}
+
 #define MFLA_KERNEL_BENCH(T)                                    \
   BENCHMARK_TEMPLATE(BM_Dot, T)->Arg(256)->Arg(4096);           \
   BENCHMARK_TEMPLATE(BM_Axpy, T)->Arg(256)->Arg(4096);          \
   BENCHMARK_TEMPLATE(BM_SpMV, T)->Arg(512);                     \
-  BENCHMARK_TEMPLATE(BM_ArnoldiStep, T)->Arg(512)
+  BENCHMARK_TEMPLATE(BM_ArnoldiStep, T)->Arg(512);              \
+  BENCHMARK_TEMPLATE(BM_HessenbergToSchur, T)->Arg(24)
 
 MFLA_KERNEL_BENCH(float);
 MFLA_KERNEL_BENCH(double);
@@ -105,5 +127,7 @@ MFLA_KERNEL_BENCH(Takum16);
 MFLA_KERNEL_BENCH(Posit32);
 MFLA_KERNEL_BENCH(Takum32);
 MFLA_KERNEL_BENCH(Quad);
+// The dd reference tier's restart (its first tier before float128).
+BENCHMARK_TEMPLATE(BM_HessenbergToSchur, DoubleDouble)->Arg(24);
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Exact-engine vs fast-path throughput per format and width: dot, axpy
 // and sparse matvec for every table-backed format, dot and axpy for the
-// 32- and 64-bit posits and takums, and a dense-restart case
+// 32- and 64-bit posits and takums, a dense-restart case
 // (hessenberg_reduce + hessenberg_to_schur on a fixed 12x12 matrix) for
-// posit8, takum8, E4M3, posit16 and the 32/64-bit posits and takums.
+// posit8, takum8, E4M3, posit16 and the 32/64-bit posits and takums, and
+// the restart's basis update (512 x 24 times 24 x 12) and one Gram–Schmidt
+// orthogonalization (512 rows against 20 columns) for the 16/32/64-bit
+// posits and takums.
 //
 // The exact series runs each kernel on Exact<T> (arith/exact.hpp), whose
 // operators call T's exact engines by name (add_exact, mul_exact, ...);
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "arith/exact.hpp"
+#include "core/arnoldi.hpp"
 #include "dense/hessenberg.hpp"
 #include "dense/schur.hpp"
 #include "graph/generators.hpp"
@@ -113,6 +117,52 @@ void BM_Restart(benchmark::State& state) {
   }
 }
 
+/// V[:, :12] := V W for a 512 x 25 basis and a 24 x 24 W, as the thick
+/// restart runs it (each iteration starts from the same V).
+template <typename T>
+void BM_UpdateBasis(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = 24, keep = 12;
+  Rng rng("bench_kernel_accel_update_basis", n);
+  DenseMatrix<T> v0(n, m + 1), w(m, m);
+  for (std::size_t j = 0; j <= m; ++j)
+    for (std::size_t i = 0; i < n; ++i) v0(i, j) = NumTraits<T>::from_double(rng.normal() * 0.05);
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t i = 0; i < m; ++i) w(i, j) = NumTraits<T>::from_double(rng.normal() * 0.2);
+  DenseMatrix<T> v = v0;
+  std::vector<typename kernels::Domain<T>::Value> scratch;
+  for (auto _ : state) {
+    v = v0;
+    kernels::update_basis(v, w, m, keep, scratch);
+    benchmark::DoNotOptimize(v.col(0));
+    benchmark::ClobberMemory();
+  }
+}
+
+/// One iterated-CGS orthogonalization of a fixed vector against 20 basis
+/// columns of length 512, as an Arnoldi step runs it.
+template <typename T>
+void BM_Orthogonalize(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t cols = 20;
+  Rng rng("bench_kernel_accel_orthogonalize", n);
+  DenseMatrix<T> v(n, cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    const std::vector<double> u = rng.unit_vector(n);
+    for (std::size_t i = 0; i < n; ++i) v(i, j) = NumTraits<T>::from_double(u[i]);
+  }
+  const std::vector<double> u = rng.unit_vector(n);
+  std::vector<T> w0(n);
+  for (std::size_t i = 0; i < n; ++i) w0[i] = NumTraits<T>::from_double(u[i]);
+  ArnoldiWorkspace<T> ws;
+  ws.reserve(n, cols);
+  std::vector<T> h(cols + 1);
+  for (auto _ : state) {
+    ws.w = w0;
+    benchmark::DoNotOptimize(detail::orthogonalize(v, cols, ws, h.data(), T(1)));
+  }
+}
+
 #define MFLA_VECTOR_BENCH(T)                                                           \
   BENCHMARK_TEMPLATE(BM_Dot, Exact<T>)->Name("Dot/exact/" #T)->Arg(4096);              \
   BENCHMARK_TEMPLATE(BM_Dot, T)->Name("Dot/fast/" #T)->Arg(4096);                      \
@@ -123,6 +173,14 @@ void BM_Restart(benchmark::State& state) {
   MFLA_VECTOR_BENCH(T);                                                                \
   BENCHMARK_TEMPLATE(BM_SpMV, Exact<T>)->Name("SpMV/exact/" #T)->Arg(512);             \
   BENCHMARK_TEMPLATE(BM_SpMV, T)->Name("SpMV/fast/" #T)->Arg(512)
+
+#define MFLA_BASIS_BENCH(T)                                                            \
+  BENCHMARK_TEMPLATE(BM_UpdateBasis, Exact<T>)->Name("UpdateBasis/exact/" #T)->Arg(512); \
+  BENCHMARK_TEMPLATE(BM_UpdateBasis, T)->Name("UpdateBasis/fast/" #T)->Arg(512);         \
+  BENCHMARK_TEMPLATE(BM_Orthogonalize, Exact<T>)                                       \
+      ->Name("Orthogonalize/exact/" #T)                                                \
+      ->Arg(512);                                                                      \
+  BENCHMARK_TEMPLATE(BM_Orthogonalize, T)->Name("Orthogonalize/fast/" #T)->Arg(512)
 
 #define MFLA_RESTART_BENCH(T)                                                          \
   BENCHMARK_TEMPLATE(BM_Restart, Exact<T>)->Name("Restart/exact/" #T)->Arg(12);        \
@@ -153,5 +211,13 @@ MFLA_RESTART_BENCH(Posit32);
 MFLA_RESTART_BENCH(Takum32);
 MFLA_RESTART_BENCH(Posit64);
 MFLA_RESTART_BENCH(Takum64);
+// The restart's basis update and the expansion's Gram–Schmidt (blocked
+// and fused in the decoded domain).
+MFLA_BASIS_BENCH(Posit16);
+MFLA_BASIS_BENCH(Takum16);
+MFLA_BASIS_BENCH(Posit32);
+MFLA_BASIS_BENCH(Takum32);
+MFLA_BASIS_BENCH(Posit64);
+MFLA_BASIS_BENCH(Takum64);
 
 }  // namespace

@@ -37,41 +37,100 @@ enum class ExpandStatus {
 /// verified by tests/test_arnoldi_workspace.cpp with an operator-new hook.
 template <typename T>
 struct ArnoldiWorkspace {
-  std::vector<T> w;     // n: matvec target / candidate basis vector
-  std::vector<T> h;     // maxdim+1: projection coefficients of one step
-  std::vector<T> dump;  // maxdim+1: discarded coefficients (deflation only)
+  using Value = typename kernels::Domain<T>::Value;
+  std::vector<T> w;       // n: matvec target / candidate basis vector
+  std::vector<T> h;       // maxdim+1: projection coefficients of one step
+  std::vector<T> dump;    // maxdim+1: discarded coefficients (deflation only)
+  std::vector<Value> wd;  // n: w, decoded while it is orthogonalized
 
   void reserve(std::size_t n, std::size_t maxdim) {
     w.resize(n);
     h.resize(maxdim + 1);
     dump.resize(maxdim + 1);
+    if constexpr (kernels::Domain<T>::kDecoded) wd.resize(n);
   }
 };
 
 namespace detail {
 
-/// Orthogonalize w against the first `cols` columns of v with iterated CGS
-/// (eta = 1/sqrt(2)); coefficients are accumulated into h[0..cols), which
-/// is (re)initialized here — callers may pass recycled buffers.
+/// Orthogonalize ws.w against the first `cols` columns of v with iterated
+/// CGS (eta = 1/sqrt(2)); coefficients are accumulated into h[0..cols),
+/// which is (re)initialized here — callers may pass recycled buffers.
 /// Returns the norm of the orthogonalized w (in T), or NaR/NaN on failure.
+///
+/// In the decoded domain (kernels::Domain) each pass is one loop per
+/// column: w is decoded once into ws.wd and encoded once on return, the
+/// axpy of column j runs in the same loop as the dot of column j+1, and
+/// the last axpy in the same loop as the squared norm. Per element these
+/// are the operations of the separate dot, axpy and nrm2 passes, in the
+/// same order, so the bits are the same; in T itself the passes stay
+/// separate. v_j is decoded for its dot and again for its axpy: keeping
+/// the decoded column in a buffer measured slower than decoding it twice.
 template <typename T>
-T orthogonalize(const DenseMatrix<T>& v, std::size_t cols, T* w, T* h, T norm_before) {
+T orthogonalize(const DenseMatrix<T>& v, std::size_t cols, ArnoldiWorkspace<T>& ws, T* h,
+                T norm_before) {
+  using D = kernels::Domain<T>;
+  using V = typename D::Value;
   const std::size_t n = v.rows();
   const T eta = NumTraits<T>::from_double(0.7071067811865475);
   for (std::size_t j = 0; j < cols; ++j) h[j] = T(0);
-  T norm_after = norm_before;
-  for (int pass = 0; pass < 3; ++pass) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      const T c = kernels::dot(n, v.col(j), w);
-      h[j] += c;
-      kernels::axpy(n, -c, v.col(j), w);
+  T* const w = ws.w.data();
+  if constexpr (!D::kDecoded) {
+    T norm_after = norm_before;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        const T c = kernels::dot(n, v.col(j), w);
+        h[j] += c;
+        kernels::axpy(n, -c, v.col(j), w);
+      }
+      norm_after = kernels::nrm2(n, w);
+      if (!is_number(norm_after)) return norm_after;
+      if (norm_after > eta * norm_before) break;  // DGKS: no further pass needed
+      norm_before = norm_after;
     }
-    norm_after = kernels::nrm2(n, w);
-    if (!is_number(norm_after)) return norm_after;
-    if (norm_after > eta * norm_before) break;  // DGKS: no further pass needed
-    norm_before = norm_after;
+    return norm_after;
+  } else {
+    V* const wd = ws.wd.data();
+    for (std::size_t i = 0; i < n; ++i) wd[i] = D::load(w[i]);
+    T norm_after = norm_before;
+    for (int pass = 0; pass < 3; ++pass) {
+      // acc: dot(v_0, w), or w's squared norm when there is no column.
+      V acc = D::zero();
+      if (cols == 0) {
+        for (std::size_t i = 0; i < n; ++i) acc = D::add(acc, D::mul(wd[i], wd[i]));
+      } else {
+        const T* const x0 = v.col(0);
+        for (std::size_t i = 0; i < n; ++i) acc = D::add(acc, D::mul(D::load(x0[i]), wd[i]));
+      }
+      for (std::size_t j = 0; j < cols; ++j) {
+        const T c = D::store(acc);
+        h[j] += c;
+        const V a = D::load(-c);
+        const T* const x = v.col(j);
+        acc = D::zero();
+        if (j + 1 < cols) {
+          const T* const next = v.col(j + 1);
+          for (std::size_t i = 0; i < n; ++i) {
+            const V wi = D::add(wd[i], D::mul(a, D::load(x[i])));
+            wd[i] = wi;
+            acc = D::add(acc, D::mul(D::load(next[i]), wi));
+          }
+        } else {
+          for (std::size_t i = 0; i < n; ++i) {
+            const V wi = D::add(wd[i], D::mul(a, D::load(x[i])));
+            wd[i] = wi;
+            acc = D::add(acc, D::mul(wi, wi));
+          }
+        }
+      }
+      norm_after = sqrt(D::store(acc));
+      if (!is_number(norm_after)) break;
+      if (norm_after > eta * norm_before) break;  // DGKS: no further pass needed
+      norm_before = norm_after;
+    }
+    for (std::size_t i = 0; i < n; ++i) w[i] = D::store(wd[i]);
+    return norm_after;
   }
-  return norm_after;
 }
 
 /// Fill w with a random unit vector (generated in double, converted to T).
@@ -104,7 +163,7 @@ ExpandStatus arnoldi_step(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std
   if (!is_number(norm_before)) return ExpandStatus::failed;
 
   T* const h = ws.h.data();
-  T beta = detail::orthogonalize(v, j + 1, w, h, norm_before);
+  T beta = detail::orthogonalize(v, j + 1, ws, h, norm_before);
   if (!is_number(beta)) return ExpandStatus::failed;
   for (std::size_t i = 0; i <= j; ++i) {
     if (!is_number(h[i])) return ExpandStatus::failed;
@@ -134,7 +193,7 @@ ExpandStatus arnoldi_step(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std
                                  64.0 * NumTraits<T>::epsilon());
   for (int attempt = 0; attempt < 6; ++attempt) {
     detail::random_direction(n, rng, w);
-    const T nrm = detail::orthogonalize(v, j + 1, w, ws.dump.data(), T(1));
+    const T nrm = detail::orthogonalize(v, j + 1, ws, ws.dump.data(), T(1));
     if (!is_number(nrm)) return ExpandStatus::failed;
     if (NumTraits<T>::to_double(nrm) > accept) {
       const T inv = T(1) / nrm;

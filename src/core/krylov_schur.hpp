@@ -61,18 +61,34 @@ struct PartialSchurResult {
 };
 
 /// All restart-loop scratch of one partialschur/lanczos_eigs solve. Sized
-/// on first use and recycled across restarts, so the steady-state cycle
-/// (expand -> reduce -> reorder -> truncate) reuses one set of buffers
-/// instead of reallocating the Rayleigh/accumulator matrices, the spike,
-/// the reflector scratch and the basis-update scratch every restart.
+/// once by reserve() and recycled across restarts, so the steady-state
+/// cycle (expand -> reduce -> reorder -> truncate) reuses one set of
+/// buffers instead of reallocating the Rayleigh/accumulator matrices, the
+/// spike, the reflector scratch and the basis-update scratch every restart.
 template <typename T>
 struct KrylovSchurWorkspace {
   ArnoldiWorkspace<T> arnoldi;     // inner-loop scratch (allocation-free steps)
   DenseMatrix<T> t;                // m x m Rayleigh matrix -> Schur form
   DenseMatrix<T> q;                // m x m orthogonal accumulator
   HessenbergScratch<T> hessenberg; // reflector scratch of the re-reduction
-  std::vector<T> basis_scratch;    // n x keep accumulator of update_basis
+  std::vector<typename kernels::Domain<T>::Value> basis_scratch;  // update_basis scratch
   std::vector<double> spike;       // residual couplings b^T q
+  std::vector<SchurBlock> blocks;  // diagonal blocks of t (reorder, convergence test)
+
+  /// Sizes every buffer for an n x (maxdim+1) basis. After that a restart
+  /// cycle allocates nothing on its regular path (tests/
+  /// test_arnoldi_workspace.cpp); a deflation's random direction still
+  /// does.
+  void reserve(std::size_t n, std::size_t maxdim) {
+    arnoldi.reserve(n, maxdim);
+    t.resize(maxdim, maxdim);
+    q.resize(maxdim, maxdim);
+    hessenberg.v.resize(maxdim);
+    hessenberg.w.resize(maxdim);
+    basis_scratch.reserve(kernels::Domain<T>::kDecoded ? maxdim * (maxdim + 1) : n * maxdim);
+    spike.reserve(maxdim);
+    blocks.reserve(maxdim);
+  }
 };
 
 namespace detail {
@@ -86,6 +102,118 @@ namespace detail {
     case Which::smallest_real: return are < bre;
   }
   return false;
+}
+
+/// Where one restart cycle left the solve.
+struct CycleOutcome {
+  const char* failure = nullptr;  // set: the solve stops with this message
+  std::size_t nconv = 0;          // converged leading columns of ws.t
+};
+
+/// One Krylov–Schur cycle up to the truncation: expands the size-k
+/// decomposition (v, s) to m = v.cols() - 1 columns, takes its Rayleigh
+/// matrix to real Schur form with the wanted Ritz values first (ws.t, the
+/// rotation accumulated in ws.q) and counts the converged leading columns
+/// from the spike (ws.spike).
+template <typename T, class Op>
+CycleOutcome expand_and_reduce(const Op& a, DenseMatrix<T>& v, DenseMatrix<T>& s, std::size_t k,
+                               Rng& rng, const PartialSchurOptions& opts, double tol,
+                               KrylovSchurWorkspace<T>& ws, std::size_t& matvecs) {
+  CycleOutcome out;
+  // ---- Expansion: k -> m ------------------------------------------------
+  const std::size_t m = v.cols() - 1;
+  for (std::size_t j = k; j < m; ++j) {
+    const ExpandStatus es = arnoldi_step(a, v, s, j, rng, ws.arnoldi);
+    ++matvecs;
+    if (es == ExpandStatus::failed) {
+      out.failure = "non-finite values during Arnoldi expansion";
+      return out;
+    }
+  }
+  const T beta = s(m, m - 1);
+
+  // ---- Rayleigh matrix -> Hessenberg -> real Schur ----------------------
+  // t/q are workspace matrices, fully overwritten here each restart.
+  DenseMatrix<T>& t = ws.t;
+  DenseMatrix<T>& q = ws.q;
+  t.resize(m, m);
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t i = 0; i < m; ++i) t(i, j) = s(i, j);
+  q.set_identity(m);
+  if (!hessenberg_reduce(t, q, ws.hessenberg)) {
+    out.failure = "non-finite values in Hessenberg reduction";
+    return out;
+  }
+  const SchurStatus sst = hessenberg_to_schur(t, q, 40, opts.reflector_style);
+  if (!sst.ok) {
+    out.failure = "Schur iteration failed to converge";
+    return out;
+  }
+
+  // ---- Reorder wanted Ritz values to the front --------------------------
+  const Which which = opts.which;
+  reorder_schur<T>(
+      t, q,
+      [which](const SchurBlock& x, const SchurBlock& y) {
+        return prefer_eig(which, x.re, x.im, y.re, y.im);
+      },
+      ws.blocks);
+
+  // ---- Spike and convergence --------------------------------------------
+  std::vector<double>& spike = ws.spike;
+  spike.assign(m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    spike[i] = NumTraits<T>::to_double(beta) * NumTraits<T>::to_double(q(m - 1, i));
+  }
+  schur_blocks(t, ws.blocks);
+  for (const auto& blk : ws.blocks) {
+    double res = 0.0;
+    for (int c = 0; c < blk.size; ++c) {
+      const double e = spike[blk.start + static_cast<std::size_t>(c)];
+      res += e * e;
+    }
+    res = std::sqrt(res);
+    const double mag = std::hypot(blk.re, blk.im);
+    if (!(res <= tol * mag)) break;  // also stops on NaN residuals
+    out.nconv += static_cast<std::size_t>(blk.size);
+  }
+  return out;
+}
+
+/// Thick restart after expand_and_reduce: V keeps its leading `keep` Schur
+/// vectors (V := V Q[:, :keep]), the residual vector v_m becomes v_keep,
+/// and s becomes the kept Schur block over the spike, with the couplings
+/// of the first nconv (converged, locked) columns annihilated.
+template <typename T>
+void truncate(DenseMatrix<T>& v, DenseMatrix<T>& s, std::size_t keep, std::size_t nconv,
+              KrylovSchurWorkspace<T>& ws) {
+  const std::size_t n = v.rows();
+  const std::size_t m = v.cols() - 1;
+  kernels::update_basis(v, ws.q, m, keep, ws.basis_scratch);
+  {
+    T* dst = v.col(keep);
+    const T* src = v.col(m);
+    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+  }
+  s.fill(T(0));
+  for (std::size_t j = 0; j < keep; ++j)
+    for (std::size_t i = 0; i < keep; ++i) s(i, j) = ws.t(i, j);
+  for (std::size_t i = 0; i < keep; ++i) {
+    const double val = (i < nconv) ? 0.0 : ws.spike[i];
+    s(keep, i) = NumTraits<T>::from_double(val);
+  }
+}
+
+/// The truncation size of a restart that keeps going: mindim plus half
+/// the converged columns beyond it, below m, without splitting a 2x2 block.
+template <typename T>
+[[nodiscard]] std::size_t restart_keep(const DenseMatrix<T>& t, std::size_t mindim,
+                                       std::size_t maxdim, std::size_t nconv) {
+  const std::size_t m = maxdim;
+  std::size_t keep = mindim + std::min(nconv, (maxdim - mindim) / 2);
+  keep = std::min(keep, m - 1);
+  if (keep < m && t(keep, keep - 1) != T(0)) ++keep;  // do not split a pair
+  return std::min(keep, m - 1);
 }
 
 }  // namespace detail
@@ -138,75 +266,28 @@ PartialSchurResult<T> partialschur(const Op& a, const PartialSchurOptions& opts 
   }
 
   KrylovSchurWorkspace<T> ws;
-  ws.arnoldi.reserve(n, maxdim);
+  ws.reserve(n, maxdim);
 
   std::size_t k = 0;  // active decomposition size
   for (int restart = 0; restart <= opts.max_restarts; ++restart) {
     out.restarts = restart;
-
-    // ---- Expansion: k -> m ------------------------------------------------
-    const std::size_t m = maxdim;
-    for (std::size_t j = k; j < m; ++j) {
-      const ExpandStatus es = arnoldi_step(a, v, s, j, rng, ws.arnoldi);
-      ++out.matvecs;
-      if (es == ExpandStatus::failed) {
-        out.failure = "non-finite values during Arnoldi expansion";
-        return out;
-      }
-    }
-    const T beta = s(m, m - 1);
-
-    // ---- Rayleigh matrix -> Hessenberg -> real Schur ----------------------
-    // t/q are workspace matrices, fully overwritten here each restart.
-    DenseMatrix<T>& t = ws.t;
-    DenseMatrix<T>& q = ws.q;
-    t.resize(m, m);
-    for (std::size_t j = 0; j < m; ++j)
-      for (std::size_t i = 0; i < m; ++i) t(i, j) = s(i, j);
-    q.set_identity(m);
-    if (!hessenberg_reduce(t, q, ws.hessenberg)) {
-      out.failure = "non-finite values in Hessenberg reduction";
+    const detail::CycleOutcome cyc =
+        detail::expand_and_reduce(a, v, s, k, rng, opts, tol, ws, out.matvecs);
+    if (cyc.failure != nullptr) {
+      out.failure = cyc.failure;
       return out;
     }
-    const SchurStatus sst = hessenberg_to_schur(t, q, 40, opts.reflector_style);
-    if (!sst.ok) {
-      out.failure = "Schur iteration failed to converge";
-      return out;
-    }
-
-    // ---- Reorder wanted Ritz values to the front --------------------------
-    const Which which = opts.which;
-    reorder_schur<T>(t, q, [which](const SchurBlock& x, const SchurBlock& y) {
-      return detail::prefer_eig(which, x.re, x.im, y.re, y.im);
-    });
-
-    // ---- Spike and convergence --------------------------------------------
-    std::vector<double>& spike = ws.spike;
-    spike.assign(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      spike[i] = NumTraits<T>::to_double(beta) * NumTraits<T>::to_double(q(m - 1, i));
-    }
-    const auto blocks = schur_blocks(t);
-    std::size_t nconv = 0;     // converged leading columns
-    for (const auto& blk : blocks) {
-      double res = 0.0;
-      for (int c = 0; c < blk.size; ++c) {
-        const double e = spike[blk.start + static_cast<std::size_t>(c)];
-        res += e * e;
-      }
-      res = std::sqrt(res);
-      const double mag = std::hypot(blk.re, blk.im);
-      if (!(res <= tol * mag)) break;  // also stops on NaN residuals
-      nconv += static_cast<std::size_t>(blk.size);
-    }
+    const std::size_t nconv = cyc.nconv;
     out.nconverged = std::min(nconv, nev);
 
+    const std::size_t m = maxdim;
+    const DenseMatrix<T>& t = ws.t;
     const bool done = nconv >= nev || restart == opts.max_restarts;
     if (done) {
       // Keep nev columns, extended by one if that would split a 2x2 block.
       std::size_t keep = std::min(nev, m);
       if (keep < m && t(keep, keep - 1) != T(0)) ++keep;
-      kernels::update_basis(v, q, m, keep, ws.basis_scratch);
+      kernels::update_basis(v, ws.q, m, keep, ws.basis_scratch);
       out.q = v.top_left(n, keep);
       out.r = t.top_left(keep, keep);
       std::vector<T> re, im;
@@ -223,27 +304,8 @@ PartialSchurResult<T> partialschur(const Op& a, const PartialSchurOptions& opts 
     }
 
     // ---- Truncate (thick restart) ------------------------------------------
-    std::size_t keep = mindim + std::min(nconv, (maxdim - mindim) / 2);
-    keep = std::min(keep, m - 1);
-    if (keep < m && t(keep, keep - 1) != T(0)) ++keep;  // do not split a pair
-    keep = std::min(keep, m - 1);
-
-    kernels::update_basis(v, q, m, keep, ws.basis_scratch);
-    // Residual vector v_m becomes the new v_k.
-    {
-      T* dst = v.col(keep);
-      const T* src = v.col(m);
-      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-    }
-    s.fill(T(0));
-    for (std::size_t j = 0; j < keep; ++j)
-      for (std::size_t i = 0; i < keep; ++i) s(i, j) = t(i, j);
-    for (std::size_t i = 0; i < keep; ++i) {
-      // Lock converged leading pairs: their couplings are annihilated.
-      const double val = (i < nconv) ? 0.0 : spike[i];
-      s(keep, i) = NumTraits<T>::from_double(val);
-    }
-    k = keep;
+    k = detail::restart_keep(t, mindim, maxdim, nconv);
+    detail::truncate(v, s, k, nconv, ws);
   }
   out.failure = "restart loop left unexpectedly";
   return out;

@@ -67,7 +67,7 @@ PartialSchurResult<T> lanczos_eigs(const Op& a, const PartialSchurOptions& opts 
   }
 
   KrylovSchurWorkspace<T> ws;
-  ws.arnoldi.reserve(n, maxdim);
+  ws.reserve(n, maxdim);
 
   std::size_t k = 0;
   for (int restart = 0; restart <= opts.max_restarts; ++restart) {

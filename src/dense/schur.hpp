@@ -40,26 +40,32 @@ enum class ReflectorStyle { lapack, textbook };
 
 namespace detail {
 
+/// (x_k, y_k) := (c x_k + s y_k, c y_k - s x_k) for the n element pairs
+/// x[k * stride], y[k * stride], in the kernel domain.
+template <typename T>
+void rotate_pairs(typename kernels::Domain<T>::Value c, typename kernels::Domain<T>::Value s,
+                  T* x, T* y, std::size_t stride, std::size_t n) noexcept {
+  using D = kernels::Domain<T>;
+  for (std::size_t k = 0; k < n; ++k, x += stride, y += stride) {
+    const typename D::Value xk = D::load(*x), yk = D::load(*y);
+    *x = D::store(D::add(D::mul(c, xk), D::mul(s, yk)));
+    *y = D::store(D::sub(D::mul(c, yk), D::mul(s, xk)));
+  }
+}
+
 /// Apply the Givens-like rotation [c s; -s c]^T ... [c s; -s c] as a
-/// similarity on rows/cols (i, i+1) of t, and on columns of z.
+/// similarity on rows/cols (i, i+1) of t, and on columns of z. Runs in
+/// kernels::Domain<T>: cs and sn are loaded once and each element is
+/// loaded and stored once; each new element is c*x + s*y or c*y - s*x as
+/// T's operators form it.
 template <typename T>
 void apply_rotation_similarity(DenseMatrix<T>& t, DenseMatrix<T>& z, std::size_t i, T cs, T sn) {
+  using D = kernels::Domain<T>;
+  const typename D::Value c = D::load(cs), s = D::load(sn);
   const std::size_t n = t.rows();
-  for (std::size_t j = 0; j < n; ++j) {  // left: rows i, i+1
-    const T x = t(i, j), y = t(i + 1, j);
-    t(i, j) = cs * x + sn * y;
-    t(i + 1, j) = cs * y - sn * x;
-  }
-  for (std::size_t r = 0; r < n; ++r) {  // right: cols i, i+1
-    const T x = t(r, i), y = t(r, i + 1);
-    t(r, i) = cs * x + sn * y;
-    t(r, i + 1) = cs * y - sn * x;
-  }
-  for (std::size_t r = 0; r < z.rows(); ++r) {
-    const T x = z(r, i), y = z(r, i + 1);
-    z(r, i) = cs * x + sn * y;
-    z(r, i + 1) = cs * y - sn * x;
-  }
+  rotate_pairs<T>(c, s, &t(i, 0), &t(i + 1, 0), n, n);  // left: rows i, i+1
+  rotate_pairs<T>(c, s, t.col(i), t.col(i + 1), 1, n);   // right: cols i, i+1
+  rotate_pairs<T>(c, s, z.col(i), z.col(i + 1), 1, z.rows());
 }
 
 /// Standardize the 2x2 block at (i, i): if its eigenvalues are real, rotate
@@ -140,7 +146,9 @@ bool make_reflector(const T* x, int nr, T* v, T& tau,
 /// Applies the Householder reflector I - beta v v^T to `count` vectors of
 /// Nr elements: vector c is x[c * step + i * stride], i < Nr. v and beta
 /// come in the kernel domain. Nr is a template argument so that v and each
-/// vector live in registers, out of reach of the stores through x.
+/// vector live in registers, out of reach of the stores through x. In the
+/// decoded domain two vectors go through each iteration as independent
+/// chains (see kernels::Domain::kDecoded).
 /// v_i x_i is formed as x_i v_i in the row-wise applications; commuting a
 /// correctly rounded multiply is exact in every format here.
 template <int Nr, typename T>
@@ -150,7 +158,27 @@ void reflect(const typename kernels::Domain<T>::Value* v, typename kernels::Doma
   using V = typename D::Value;
   V vl[Nr];
   for (int i = 0; i < Nr; ++i) vl[i] = v[i];
-  for (std::size_t c = 0; c < count; ++c, x += step) {
+  std::size_t c = 0;
+  if constexpr (D::kDecoded) {
+    for (; c + 2 <= count; c += 2, x += 2 * step) {
+      T* const y = x + step;
+      V xs[Nr], ys[Nr];
+      V s = D::zero(), r = D::zero();
+      for (int i = 0; i < Nr; ++i) {
+        xs[i] = D::load(x[i * stride]);
+        ys[i] = D::load(y[i * stride]);
+        s = D::add(s, D::mul(vl[i], xs[i]));
+        r = D::add(r, D::mul(vl[i], ys[i]));
+      }
+      s = D::mul(s, beta);
+      r = D::mul(r, beta);
+      for (int i = 0; i < Nr; ++i) {
+        x[i * stride] = D::store(D::sub(xs[i], D::mul(s, vl[i])));
+        y[i * stride] = D::store(D::sub(ys[i], D::mul(r, vl[i])));
+      }
+    }
+  }
+  for (; c < count; ++c, x += step) {
     V xs[Nr];
     V s = D::zero();
     for (int i = 0; i < Nr; ++i) {
@@ -290,6 +318,27 @@ SchurStatus hessenberg_to_schur(DenseMatrix<T>& h, DenseMatrix<T>& z, int max_sw
   return st;
 }
 
+/// Eigenvalues of the 2x2 diagonal block at (i, i) of a real Schur form:
+/// (re[0], im[0]) and (re[1], im[1]).
+template <typename T>
+void block_eigenvalues(const DenseMatrix<T>& t, std::size_t i, T* re, T* im) {
+  const T half(0.5);
+  const T a = t(i, i), b = t(i, i + 1), c = t(i + 1, i), d = t(i + 1, i + 1);
+  const T p = (a - d) * half;
+  const T disc = p * p + b * c;
+  if (disc < T(0)) {  // complex pair
+    const T sq = sqrt(-disc);
+    re[0] = re[1] = d + p;
+    im[0] = sq;
+    im[1] = -sq;
+  } else {  // real pair in an (unstandardized) 2x2 block
+    const T sq = sqrt(disc);
+    re[0] = d + p + sq;
+    re[1] = d + p - sq;
+    im[0] = im[1] = T(0);
+  }
+}
+
 /// Eigenvalues (re, im) read off a real Schur form, in diagonal order.
 template <typename T>
 void schur_eigenvalues(const DenseMatrix<T>& t, std::vector<T>& re, std::vector<T>& im) {
@@ -297,26 +346,13 @@ void schur_eigenvalues(const DenseMatrix<T>& t, std::vector<T>& re, std::vector<
   re.assign(n, T(0));
   im.assign(n, T(0));
   std::size_t i = 0;
-  const T half(0.5);
   while (i < n) {
     if (i + 1 == n || t(i + 1, i) == T(0)) {
       re[i] = t(i, i);
       ++i;
       continue;
     }
-    const T a = t(i, i), b = t(i, i + 1), c = t(i + 1, i), d = t(i + 1, i + 1);
-    const T p = (a - d) * half;
-    const T disc = p * p + b * c;
-    if (disc < T(0)) {  // complex pair
-      const T sq = sqrt(-disc);
-      re[i] = re[i + 1] = d + p;
-      im[i] = sq;
-      im[i + 1] = -sq;
-    } else {  // real pair in an (unstandardized) 2x2 block
-      const T sq = sqrt(disc);
-      re[i] = d + p + sq;
-      re[i + 1] = d + p - sq;
-    }
+    block_eigenvalues(t, i, &re[i], &im[i]);
     i += 2;
   }
 }

@@ -10,7 +10,8 @@
 // and no product is encoded only to be decoded again. gemv, matmul and
 // update_basis are loops of axpy, which forms a_lj * v_i where they used
 // to form v_i * a_lj; commuting a correctly rounded multiply is exact in
-// every format here.
+// every format here. In the decoded domain update_basis is a
+// register-blocked product with the per-element operations of that loop.
 #pragma once
 
 #include <cmath>
@@ -26,9 +27,18 @@ namespace kernels {
 /// The arithmetic a kernel runs in: Value is what it keeps between
 /// operations, load/store convert at the array boundary. The primary
 /// template is T itself.
+///
+/// kDecoded tells the multi-term loops whether loads and stores cost
+/// anything. Where they do, blocking, fusing passes and running two
+/// chains side by side save conversions. In T itself there is nothing to
+/// save and the reshaped loops measured slower (the blocked basis update
+/// for float and the 8-bit tables, the fused Gram–Schmidt for the 16-bit
+/// tables and float128, the paired reflector for float and double), so
+/// those loops keep their plain shape there.
 template <typename T>
 struct Domain {
   using Value = T;
+  static constexpr bool kDecoded = false;
   [[nodiscard]] static Value load(T x) noexcept { return x; }
   [[nodiscard]] static T store(Value x) noexcept { return x; }
   [[nodiscard]] static Value zero() noexcept { return T(0); }
@@ -42,6 +52,7 @@ struct Domain {
 template <DecodedArithmetic T>
 struct Domain<T> {
   using Value = typename T::Decoded;
+  static constexpr bool kDecoded = true;
   [[nodiscard]] static Value load(T x) noexcept { return T::decode(x); }
   [[nodiscard]] static T store(const Value& x) noexcept { return T::encode(x); }
   [[nodiscard]] static Value zero() noexcept { return {}; }
@@ -121,29 +132,83 @@ template <typename T>
   return c;
 }
 
+namespace detail {
+
+/// out[c * stride] := sum over l < len of w[l * ldw + c] * x[l], for the B
+/// columns c < B side by side: each sum starts at zero and adds its terms
+/// in ascending l, as an axpy loop over l would, and is stored once.
+template <typename T, int B>
+[[gnu::always_inline]] inline void row_times_block(const typename Domain<T>::Value* x,
+                                                   const typename Domain<T>::Value* w,
+                                                   std::size_t ldw, std::size_t len, T* out,
+                                                   std::size_t stride) noexcept {
+  using D = Domain<T>;
+  typename D::Value acc[B];
+  for (int c = 0; c < B; ++c) acc[c] = D::zero();
+  for (std::size_t l = 0; l < len; ++l) {
+    const typename D::Value xl = x[l];
+    for (int c = 0; c < B; ++c) acc[c] = D::add(acc[c], D::mul(w[l * ldw + c], xl));
+  }
+  for (int c = 0; c < B; ++c) out[c * stride] = D::store(acc[c]);
+}
+
+}  // namespace detail
+
 /// Update the leading `keep` columns of V in place: V[:, :keep] := V * W,
 /// reading only W's leading wrows x keep block (W may be larger; this
-/// avoids materializing top_left views). The product accumulates in
-/// `scratch`, which is resized/zeroed here; recycling it across restarts
-/// makes the basis update allocation-free at steady state.
+/// avoids materializing top_left views). Output (i, j) is the sum from
+/// zero of w(l, j) * v(i, l) in ascending l, as a loop of axpys forms it.
+///
+/// In T itself it is that loop of axpys into an n x keep accumulator: the
+/// full-length streaming loop keeps its vectorization and table-row
+/// hoisting, and measured fastest for the native and table formats. In
+/// the decoded domain the product is register-blocked: W's block is
+/// decoded once, each row's wrows inputs v(i, l) once, and four output
+/// columns accumulate decoded side by side, each encoded once; a row's
+/// outputs depend on that row alone, so they overwrite it in place.
+/// `scratch` holds n * keep values of T or wrows * (keep + 1) decoded
+/// values; recycling it across restarts makes the basis update
+/// allocation-free at steady state.
 template <typename T>
 void update_basis(DenseMatrix<T>& v, const DenseMatrix<T>& w, std::size_t wrows,
-                  std::size_t keep, std::vector<T>& scratch) {
+                  std::size_t keep, std::vector<typename Domain<T>::Value>& scratch) {
+  using D = Domain<T>;
   const std::size_t n = v.rows();
-  scratch.assign(n * keep, T(0));
-  for (std::size_t j = 0; j < keep; ++j)
-    for (std::size_t l = 0; l < wrows; ++l) axpy(n, w(l, j), v.col(l), scratch.data() + j * n);
-  for (std::size_t j = 0; j < keep; ++j) {
-    T* dst = v.col(j);
-    const T* src = scratch.data() + j * n;
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+  if constexpr (!D::kDecoded) {
+    scratch.assign(n * keep, T(0));
+    for (std::size_t j = 0; j < keep; ++j)
+      for (std::size_t l = 0; l < wrows; ++l) axpy(n, w(l, j), v.col(l), scratch.data() + j * n);
+    for (std::size_t j = 0; j < keep; ++j) {
+      T* dst = v.col(j);
+      const T* src = scratch.data() + j * n;
+      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+    }
+  } else {
+    scratch.resize(wrows * (keep + 1));
+    typename D::Value* const wd = scratch.data();  // row-major: wd[l * keep + j] = w(l, j)
+    typename D::Value* const xr = wd + wrows * keep;
+    for (std::size_t l = 0; l < wrows; ++l)
+      for (std::size_t j = 0; j < keep; ++j) wd[l * keep + j] = D::load(w(l, j));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t l = 0; l < wrows; ++l) xr[l] = D::load(v(i, l));
+      T* const out = &v(i, 0);  // out[j * n] is v(i, j)
+      std::size_t j = 0;
+      for (; j + 4 <= keep; j += 4)
+        detail::row_times_block<T, 4>(xr, wd + j, keep, wrows, out + j * n, n);
+      switch (keep - j) {
+        case 3: detail::row_times_block<T, 3>(xr, wd + j, keep, wrows, out + j * n, n); break;
+        case 2: detail::row_times_block<T, 2>(xr, wd + j, keep, wrows, out + j * n, n); break;
+        case 1: detail::row_times_block<T, 1>(xr, wd + j, keep, wrows, out + j * n, n); break;
+        default: break;
+      }
+    }
   }
 }
 
 /// Convenience overload: whole W, throwaway scratch.
 template <typename T>
 void update_basis(DenseMatrix<T>& v, const DenseMatrix<T>& w, std::size_t keep) {
-  std::vector<T> scratch;
+  std::vector<typename Domain<T>::Value> scratch;
   update_basis(v, w, w.rows(), keep, scratch);
 }
 

@@ -1,21 +1,24 @@
 // Allocation-free hot-loop tests: a global operator-new hook counts heap
-// allocations and asserts the steady-state Arnoldi inner loop performs
-// none, and golden digests pin partialschur's results bit-for-bit to the
+// allocations and asserts the steady-state Arnoldi inner loop and a whole
+// Krylov–Schur restart cycle perform none, and golden digests pin partialschur's results bit-for-bit to the
 // pre-workspace-refactor implementation across all <=16-bit formats and to
 // the operator-only solver for the 32- and 64-bit posits and takums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arith/exact.hpp"
 #include "core/krylov_schur.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
@@ -122,6 +125,104 @@ TEST(ArnoldiWorkspace, StepsAreAllocationFreeE4M3) {
 
 TEST(ArnoldiWorkspace, StepsAreAllocationFreeTakum16) {
   expect_allocation_free_steps<Takum16>();
+}
+
+// The 32-bit posit runs the decoded domain: orthogonalization keeps w
+// decoded in the workspace.
+TEST(ArnoldiWorkspace, StepsAreAllocationFreePosit32) {
+  expect_allocation_free_steps<Posit32>();
+}
+
+// ---------------------------------------------------------------------------
+// Zero steady-state allocations per restart cycle
+// ---------------------------------------------------------------------------
+
+/// A sparse non-symmetric matrix (random entries, about six per row plus
+/// the diagonal): its Rayleigh matrices have complex Ritz pairs, so the
+/// reordering swaps 2x2 Schur blocks.
+CsrMatrix<double> nonsymmetric_matrix() {
+  Rng rng(0x2b2b);
+  const std::uint32_t n = 48;
+  CooMatrix coo(n, n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    coo.add(i, i, 1.0 + rng.normal());
+    for (int e = 0; e < 6; ++e)
+      coo.add(i, static_cast<std::uint32_t>(rng.uniform_index(n)), rng.normal());
+  }
+  return CsrMatrix<double>::from_coo(coo);
+}
+
+/// One partialschur restart cycle after a warm-up cycle: expansion,
+/// Hessenberg re-reduction, Francis QR, reordering, convergence test and
+/// thick restart, through the same detail:: steps partialschur runs. The
+/// measured cycle runs on a thread of its own, so scratch kept in
+/// thread_local storage (sized on each thread's first use) counts too.
+template <typename T>
+void expect_allocation_free_cycle(const CsrMatrix<double>& ad, bool expect_pairs = false) {
+  const CsrMatrix<T> a = ad.convert<T>();
+  const std::size_t n = a.rows();
+  const std::size_t mindim = 10, maxdim = 20;
+  PartialSchurOptions opts;
+  opts.nev = 6;
+  const double tol = NumTraits<T>::default_tolerance();
+
+  DenseMatrix<T> v(n, maxdim + 1);
+  DenseMatrix<T> s(maxdim + 1, maxdim);
+  const std::vector<double> v0 = golden_start(n);
+  for (std::size_t i = 0; i < n; ++i) v(i, 0) = NumTraits<T>::from_double(v0[i]);
+  kernels::scal(n, T(1) / kernels::nrm2(n, v.col(0)), v.col(0));
+
+  KrylovSchurWorkspace<T> ws;
+  ws.reserve(n, maxdim);
+  Rng rng(0x5157);
+  std::size_t k = 0, matvecs = 0;
+  const auto cycle = [&] {
+    const detail::CycleOutcome c =
+        detail::expand_and_reduce(a, v, s, k, rng, opts, tol, ws, matvecs);
+    if (c.failure != nullptr) return false;
+    k = detail::restart_keep(ws.t, mindim, maxdim, c.nconv);
+    detail::truncate(v, s, k, c.nconv, ws);
+    return true;
+  };
+  ASSERT_TRUE(cycle());  // warm-up: the first expansion, one-time table setup
+
+  bool ok = false;
+  std::uint64_t allocations = 0;
+  std::thread([&] {
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    ok = cycle();
+    allocations = g_alloc_count.load(std::memory_order_relaxed) - before;
+  }).join();
+  ASSERT_TRUE(ok);
+  EXPECT_GT(matvecs, maxdim) << "the measured cycle should expand the basis again";
+  EXPECT_EQ(allocations, 0u) << "a steady-state restart cycle allocated";
+  if (expect_pairs) {
+    EXPECT_TRUE(std::any_of(ws.blocks.begin(), ws.blocks.end(),
+                            [](const SchurBlock& b) { return b.size == 2; }))
+        << "the Schur form should hold 2x2 blocks";
+  }
+}
+
+TEST(ArnoldiWorkspace, RestartCycleIsAllocationFreeDouble) {
+  expect_allocation_free_cycle<double>(workspace_matrix());
+}
+
+TEST(ArnoldiWorkspace, RestartCycleIsAllocationFreeFloat16) {
+  expect_allocation_free_cycle<Float16>(workspace_matrix());
+}
+
+TEST(ArnoldiWorkspace, RestartCycleIsAllocationFreePosit32) {
+  expect_allocation_free_cycle<Posit32>(workspace_matrix());
+}
+
+TEST(ArnoldiWorkspace, RestartCycleIsAllocationFreeTakum64) {
+  expect_allocation_free_cycle<Takum64>(workspace_matrix());
+}
+
+// Complex Ritz pairs: the reordering's direct 2x2 block swaps run too.
+TEST(ArnoldiWorkspace, RestartCycleIsAllocationFreeNonsymmetric) {
+  expect_allocation_free_cycle<double>(nonsymmetric_matrix(), true);
+  expect_allocation_free_cycle<Posit32>(nonsymmetric_matrix(), true);
 }
 
 // The operator-new hook itself must be live, or the zero-count assertions
